@@ -2,7 +2,7 @@
 # under the race detector, and keep every validation engine in agreement
 # (the differential harness runs under -race as part of `race`; the
 # dedicated `differential` target re-runs just it, shuffled).
-.PHONY: check build vet test race api-golden differential fuzz-smoke fuzz-snapshot-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke scale-smoke scale-differential stream-smoke snapshot-differential clean
+.PHONY: check build vet test race api-golden differential fuzz-smoke fuzz-snapshot-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke bench-serve scale-smoke scale-differential stream-smoke snapshot-differential clean
 
 check: build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
 
@@ -134,6 +134,19 @@ fuzz-snapshot-smoke:
 # first-validation cost, at ~10⁵ and ~10⁶ elements.
 bench-snapshot:
 	go test -bench=BenchmarkSnapshot -benchmem -count=3 -timeout=45m -run=^$$ . | tee BENCH_snapshot.json
+
+# E15 — the served-request benchmark (servebench/, declared in
+# BENCHMARK.json): every workload once at seed SEED, each run's side
+# line and result line appended to .bench_build/bench-serve-$(SEED).jsonl.
+# Takes a few minutes, so it stays out of `check`.
+SEED ?= 1
+bench-serve:
+	mkdir -p .bench_build
+	for w in query_serve validate_audit write_mix; do \
+		bash servebench/run.sh --workload $$w --seed $(SEED) --seconds 16 --trace 0 \
+			> .bench_build/bench-serve.out || exit 1; \
+		tee -a .bench_build/bench-serve-$(SEED).jsonl < .bench_build/bench-serve.out; \
+	done
 
 # One iteration of the snapshot benchmark — asserts the save/open/
 # validate round trip works at both sizes without measuring.

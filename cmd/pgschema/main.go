@@ -500,7 +500,9 @@ func cmdQuery(args []string) error {
 	if err != nil {
 		return err
 	}
-	out, err := query.Execute(s, g, doc, *op)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	out, err := query.Compile(s, doc).Execute(ctx, g, *op)
 	if err != nil {
 		return err
 	}

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pgschema/internal/query"
 )
 
 const testSchema = `
@@ -295,5 +298,61 @@ func TestCmdQuery(t *testing.T) {
 		return cmdQuery([]string{schema, graph, `{ nope { x } }`})
 	}); err == nil {
 		t.Error("bad query accepted")
+	}
+}
+
+// TestCmdQueryMatchesInterpretive pins the query verb, which runs the
+// compiled engine, to the interpretive executor: a key lookup, a miss,
+// a scan and an erroring query print (or fail with) exactly what the
+// interpretive path produces.
+func TestCmdQueryMatchesInterpretive(t *testing.T) {
+	dir := t.TempDir()
+	schemaPath := write(t, dir, "s.graphql", testSchema)
+	graphPath := write(t, dir, "g.json", testGraph)
+	s, err := loadSchema(schemaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := loadGraph(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		src  string
+		fail bool
+	}{
+		{`{ user(id: "u2") { login follows { login } } }`, false},
+		{`{ user(id: "u9") { login } }`, false},
+		{`{ allUsers { __typename id login follows { id } } }`, false},
+		{`{ allUsers { id bogus } }`, true},
+	} {
+		src := tc.src
+		doc, err := query.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := query.Execute(s, g, doc, "")
+		if (wantErr != nil) != tc.fail {
+			t.Fatalf("%s: interpretive error %v, want failure %v", src, wantErr, tc.fail)
+		}
+		got, gotErr := capture(t, func() error { return cmdQuery([]string{schemaPath, graphPath, src}) })
+		if wantErr != nil {
+			if gotErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Errorf("%s: error %v, want %v", src, gotErr, wantErr)
+			}
+			continue
+		}
+		if gotErr != nil {
+			t.Fatalf("%s: %v", src, gotErr)
+		}
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(want); err != nil {
+			t.Fatal(err)
+		}
+		if got != buf.String() {
+			t.Errorf("%s: printed\n%s\nwant\n%s", src, got, buf.String())
+		}
 	}
 }

@@ -98,26 +98,10 @@ func (g *Graph) inflateStore() {
 	g.cold.Store(nil)
 }
 
-// coldBuckets lazily builds the per-label node lists of a cold graph
-// from the mapped label column, without inflating the store.
-func (g *Graph) coldBuckets(s *Snapshot) [][]NodeID {
-	g.coldByOnce.Do(func() {
-		buckets := make([][]NodeID, len(g.syms.names))
-		for v, ls := range s.nodeLabels {
-			if ls != NoSym {
-				buckets[ls] = append(buckets[ls], NodeID(v))
-			}
-		}
-		g.coldBy = buckets
-	})
-	return g.coldBy
-}
-
 func (g *Graph) coldLabels(s *Snapshot) []string {
-	buckets := g.coldBuckets(s)
 	var out []string
-	for sym, ids := range buckets {
-		if len(ids) > 0 {
+	for sym := range s.symNames {
+		if len(s.LabelNodes(Sym(sym))) > 0 {
 			out = append(out, g.syms.names[sym])
 		}
 	}

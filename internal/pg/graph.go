@@ -89,11 +89,6 @@ type Graph struct {
 	cold      atomic.Pointer[Snapshot]
 	storeOnce sync.Once
 
-	// coldBy is the lazily built per-label node index of a cold graph;
-	// separate from byLabel so building it stays read-only.
-	coldBy     [][]NodeID
-	coldByOnce sync.Once
-
 	// mapping is the file mapping a graph opened with OpenSnapshot
 	// reads through; Close releases it.
 	mapping *snapMapping
@@ -555,13 +550,9 @@ func (g *Graph) NodesLabeled(label string) []NodeID {
 // nodesLabeledSym is NodesLabeled for a pre-interned label Sym.
 func (g *Graph) nodesLabeledSym(ls Sym) []NodeID {
 	if c := g.cold.Load(); c != nil {
-		buckets := g.coldBuckets(c)
-		if int(ls) >= len(buckets) {
-			return nil
-		}
-		// Cold buckets hold only live nodes; copy under the same
-		// fresh-slice contract as the store path.
-		return append([]NodeID(nil), buckets[ls]...)
+		// The snapshot's label lists hold only live nodes; copy under
+		// the same fresh-slice contract as the store path.
+		return append([]NodeID(nil), c.LabelNodes(ls)...)
 	}
 	if int(ls) >= len(g.byLabel) {
 		return nil

@@ -616,6 +616,7 @@ func loadSnapshot(data []byte, path string, verify bool) (*Snapshot, symbols, er
 	}
 
 	s := &Snapshot{
+		idx:          newSnapIndexes(),
 		epoch:        epoch,
 		liveNodes:    int(liveNodes),
 		liveEdges:    int(liveEdges),

@@ -74,6 +74,10 @@ type Snapshot struct {
 	// mapping keeps the file mapping this snapshot's columns alias
 	// alive (and closeable); nil for heap snapshots.
 	mapping *snapMapping
+
+	// idx memoizes the derived per-label enumerations and key-bucket
+	// indexes (snapindex.go). Every constructor sets it.
+	idx *snapIndexes
 }
 
 // Snapshot returns the columnar view of the graph at its current epoch,
@@ -102,6 +106,7 @@ func (g *Graph) buildSnapshot() *Snapshot {
 	g.ensureStore() // unreachable on a cold graph in practice, but safe
 	nn, ne := len(g.nodes), len(g.edges)
 	s := &Snapshot{
+		idx:         newSnapIndexes(),
 		epoch:       g.epoch,
 		liveNodes:   g.NumNodes(),
 		liveEdges:   g.NumEdges(),

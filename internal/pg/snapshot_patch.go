@@ -48,6 +48,7 @@ func (g *Graph) patchSnapshot(old *Snapshot, p patchPlan) *Snapshot {
 	oldNN := len(old.nodeLabels)
 
 	s := &Snapshot{
+		idx:       newSnapIndexes(),
 		epoch:     g.epoch,
 		liveNodes: g.NumNodes(),
 		liveEdges: g.NumEdges(),

@@ -804,6 +804,7 @@ func (sb *streamBuilder) seal() *Graph {
 	}
 
 	g.snap.Store(&Snapshot{
+		idx:         newSnapIndexes(),
 		epoch:       g.epoch,
 		liveNodes:   nn,
 		liveEdges:   ne,

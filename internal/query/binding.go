@@ -1,22 +1,15 @@
 package query
 
-import (
-	"strings"
-	"sync"
-
-	"pgschema/internal/pg"
-)
+import "pgschema/internal/pg"
 
 // planBinding joins a compiled plan to one graph at one epoch: symbol
 // slots resolved to the graph's interned Syms (NoSym matches nothing),
 // subtype-closure rows per live label over the plan's fragment
-// conditions, inverse-field dispatch rows per live label, and — lazily,
-// under sync.Once guards — the per-type node enumerations and key-bucket
-// indexes the root steps scan. Its visible state is immutable once
-// built; the lazy parts must be first requested while the graph is
-// still at the binding's epoch, which every caller guarantees because
-// an execution holds the graph un-mutated for its duration (the server
-// serializes /graph/apply against /graphql readers).
+// conditions, and inverse-field dispatch rows per live label. It is
+// immutable once built. The per-type node enumerations and key-bucket
+// indexes root steps read are not the plan's: they belong to the
+// snapshot (pg.Snapshot.LabelNodes, pg.Snapshot.KeyBucket), built once
+// per snapshot and shared by every plan bound to it.
 type planBinding struct {
 	p     *Plan
 	g     *pg.Graph
@@ -34,12 +27,6 @@ type planBinding struct {
 	// invRows[invIdx][sym] is the invTarget index applicable to a node
 	// of that label, or -1.
 	invRows [][]int32
-
-	enumOnce sync.Once
-	enums    [][]pg.NodeID // per Plan.enumTypes, ascending node IDs
-
-	keyOnce sync.Once
-	keyIdx  []map[string][]pg.NodeID // per Plan.lookups
 }
 
 // bindTo returns the plan bound to the graph at its current epoch,
@@ -98,75 +85,4 @@ func (b *planBinding) condHolds(label pg.Sym, condID int32) bool {
 	}
 	row := b.subRows[label]
 	return row != nil && row[condID]
-}
-
-// ensureEnums materializes the per-type node enumerations in one
-// ascending scan of the snapshot's label column, once. Exact-label
-// match (not subtype closure), like Graph.NodesLabeled.
-func (b *planBinding) ensureEnums() {
-	b.enumOnce.Do(func() {
-		p := b.p
-		b.enums = make([][]pg.NodeID, len(p.enumTypes))
-		if len(p.enumTypes) == 0 {
-			return
-		}
-		want := make([]int32, b.g.SymCount())
-		for i := range want {
-			want[i] = -1
-		}
-		any := false
-		for i, tn := range p.enumTypes {
-			if sym, ok := b.g.Sym(tn); ok {
-				want[sym] = int32(i)
-				any = true
-			}
-		}
-		if !any {
-			return
-		}
-		bound := b.snap.NodeBound()
-		for v := 0; v < bound; v++ {
-			sym := b.snap.NodeLabelSym(pg.NodeID(v))
-			if sym < 0 {
-				continue
-			}
-			if idx := want[sym]; idx >= 0 {
-				b.enums[idx] = append(b.enums[idx], pg.NodeID(v))
-			}
-		}
-	})
-}
-
-// keyIndex returns the key-bucket indexes, building them on first use
-// (only executions with lookup roots pay for them). Buckets group each
-// type's nodes by the rendered key tuple — "P"+Value.Key() per present
-// key property, "A" per absent one — in ascending node-id order, so
-// the first verified candidate is the lowest matching id, exactly what
-// the (sorted) interpretive scan returns. Value.Key is not injective
-// across kinds, hence the Equal verify pass at execution.
-func (b *planBinding) keyIndex() []map[string][]pg.NodeID {
-	b.keyOnce.Do(func() {
-		b.ensureEnums()
-		b.keyIdx = make([]map[string][]pg.NodeID, len(b.p.lookups))
-		var sb strings.Builder
-		for i, spec := range b.p.lookups {
-			buckets := make(map[string][]pg.NodeID)
-			for _, v := range b.enums[spec.enumIdx] {
-				sb.Reset()
-				for _, slot := range spec.slots {
-					if val, ok := b.snap.NodePropBySym(v, b.syms[slot]); ok {
-						sb.WriteString("P")
-						sb.WriteString(val.Key())
-					} else {
-						sb.WriteString("A")
-					}
-					sb.WriteByte('\x00')
-				}
-				key := sb.String()
-				buckets[key] = append(buckets[key], v)
-			}
-			b.keyIdx[i] = buckets
-		}
-	})
-	return b.keyIdx
 }

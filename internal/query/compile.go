@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pgschema/internal/apigen"
+	"pgschema/internal/pg"
 	"pgschema/internal/schema"
 	"pgschema/internal/values"
 )
@@ -25,10 +26,11 @@ import (
 //
 // A Plan is immutable after Compile and safe for concurrent use. The
 // per-graph binding (symbol slots resolved to pg.Sym, subtype rows over
-// live labels, node enumerations, key-bucket indexes) is cached inside
-// the Plan keyed by (graph, epoch), exactly like validate.Program:
-// repeated execution against an unchanged graph skips the bind step,
-// and any mutation invalidates it on the next call.
+// live labels) is cached inside the Plan keyed by (graph, epoch),
+// exactly like validate.Program: repeated execution against an
+// unchanged graph skips the bind step, and any mutation invalidates it
+// on the next call. Node enumerations and key-bucket indexes are read
+// from the graph's snapshot, which shares them across all plans.
 type Plan struct {
 	s *schema.Schema
 
@@ -44,11 +46,7 @@ type Plan struct {
 	// nothing).
 	symNames []string
 
-	// enumTypes are the type names whose node enumerations root steps
-	// scan; lookups holds one key-index spec per looked-up type.
-	enumTypes []string
-	lookups   []*lookupSpec
-	invs      []*invStep
+	invs []*invStep
 
 	compileTime time.Duration
 
@@ -167,30 +165,19 @@ type rootStep struct {
 	err  *Error // rtErr, raised when the step executes
 
 	typeName string
-	enumIdx  int32 // rtList: enumeration to scan
+	typeSlot int32 // rtList, rtLookup: the type's label slot
 	sub      *selProg
 	subErr   *Error
 
-	// rtLookup: the key tuple rendered at compile time selects the
-	// bucket; verify re-checks with values.Equal because Value.Key is
+	// rtLookup: the key fields occupy the contiguous slots
+	// [keySlot, keySlot+len(want)), in key-set order, so a binding's
+	// syms sub-slice names the snapshot's key index without allocating.
+	// The key tuple rendered at compile time selects the bucket; want
+	// re-checks with values.Equal because Value.Key is
 	// canonical-consistent but not injective.
-	lookupIdx int32
+	keySlot   int32
 	bucketKey string
-	verify    []keyCheck
-}
-
-type keyCheck struct {
-	slot int32
-	want values.Value
-}
-
-// lookupSpec is the key-bucket index spec for one looked-up type: its
-// key fields as symbol slots, in key-set order. All lookup steps on the
-// type share one spec (the key set is a property of the type).
-type lookupSpec struct {
-	typeName string
-	enumIdx  int32
-	slots    []int32
+	want      []values.Value
 }
 
 // compiler carries the compile-time-only state: the apigen root/inverse
@@ -204,11 +191,9 @@ type compiler struct {
 	lookupField map[string]string
 	invByName   map[string]map[string]inverseDef // field name -> target label
 
-	condID   map[string]int32
-	symID    map[string]int32
-	enumID   map[string]int32
-	lookupID map[string]int32
-	fragIdx  map[string]int32
+	condID  map[string]int32
+	symID   map[string]int32
+	fragIdx map[string]int32
 }
 
 // Compile builds the query plan for a parsed document against a schema.
@@ -226,8 +211,6 @@ func Compile(s *schema.Schema, doc *Document) *Plan {
 		invByName:   make(map[string]map[string]inverseDef),
 		condID:      make(map[string]int32),
 		symID:       make(map[string]int32),
-		enumID:      make(map[string]int32),
-		lookupID:    make(map[string]int32),
 		fragIdx:     make(map[string]int32),
 	}
 	// The same iteration the interpretive executor runs per call —
@@ -281,7 +264,7 @@ func (c *compiler) compileRootSel(sel Selection) rootStep {
 		if len(f.Arguments) > 0 {
 			return rootStep{kind: rtErr, err: &Error{Pos: f.Pos, Msg: f.Name + " takes no arguments"}}
 		}
-		st := rootStep{kind: rtList, key: f.Key(), typeName: tn, enumIdx: c.enumSlot(tn)}
+		st := rootStep{kind: rtList, key: f.Key(), typeName: tn, typeSlot: c.symSlot(tn)}
 		st.sub, st.subErr = c.compileBody(tn, f.Selections)
 		return st
 	case c.lookupField[f.Name] != "":
@@ -310,16 +293,12 @@ func (c *compiler) compileLookup(tn string, f *Field) rootStep {
 	if len(want) != len(keys) {
 		return rootStep{kind: rtErr, err: &Error{Pos: f.Pos, Msg: fmt.Sprintf("lookup %q requires the full key (%d of %d fields given)", f.Name, len(want), len(keys))}}
 	}
-	specIdx := c.lookupSlot(tn, keys)
-	spec := c.p.lookups[specIdx]
-	st := rootStep{kind: rtLookup, key: f.Key(), typeName: tn, lookupIdx: specIdx}
+	st := rootStep{kind: rtLookup, key: f.Key(), typeName: tn, typeSlot: c.symSlot(tn), keySlot: int32(len(c.p.symNames))}
+	c.p.symNames = append(c.p.symNames, keys...)
 	var sb strings.Builder
-	for i, k := range keys {
-		w := want[k]
-		sb.WriteString("P")
-		sb.WriteString(w.Key())
-		sb.WriteByte('\x00')
-		st.verify = append(st.verify, keyCheck{slot: spec.slots[i], want: w})
+	for _, k := range keys {
+		pg.WriteKeyPart(&sb, want[k], true)
+		st.want = append(st.want, want[k])
 	}
 	st.bucketKey = sb.String()
 	st.sub, st.subErr = c.compileBody(tn, f.Selections)
@@ -488,29 +467,5 @@ func (c *compiler) symSlot(name string) int32 {
 	id := int32(len(c.p.symNames))
 	c.symID[name] = id
 	c.p.symNames = append(c.p.symNames, name)
-	return id
-}
-
-func (c *compiler) enumSlot(typeName string) int32 {
-	if id, ok := c.enumID[typeName]; ok {
-		return id
-	}
-	id := int32(len(c.p.enumTypes))
-	c.enumID[typeName] = id
-	c.p.enumTypes = append(c.p.enumTypes, typeName)
-	return id
-}
-
-func (c *compiler) lookupSlot(typeName string, keys []string) int32 {
-	if id, ok := c.lookupID[typeName]; ok {
-		return id
-	}
-	spec := &lookupSpec{typeName: typeName, enumIdx: c.enumSlot(typeName)}
-	for _, k := range keys {
-		spec.slots = append(spec.slots, c.symSlot(k))
-	}
-	id := int32(len(c.p.lookups))
-	c.p.lookups = append(c.p.lookups, spec)
-	c.lookupID[typeName] = id
 	return id
 }

@@ -33,9 +33,19 @@ func assertEngineAgreement(t *testing.T, s *schema.Schema, g *pg.Graph, src stri
 	if err != nil {
 		t.Fatalf("generator produced unparsable query: %v\n%s", err, src)
 	}
-	plan := Compile(s, doc)
+	assertPlanAgreement(t, s, g, Compile(s, doc), src, 2)
+}
+
+// assertPlanAgreement executes an already compiled plan for src `runs`
+// times and compares every result with the interpretive engine's.
+func assertPlanAgreement(t *testing.T, s *schema.Schema, g *pg.Graph, plan *Plan, src string, runs int) {
+	t.Helper()
+	doc, err := Parse(src)
+	if err != nil {
+		t.Fatalf("unparsable query: %v\n%s", err, src)
+	}
 	wantData, wantErr := Execute(s, g, doc, "")
-	for run := 0; run < 2; run++ {
+	for run := 0; run < runs; run++ {
 		gotData, gotErr := plan.Execute(context.Background(), g, "")
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("run %d: interpretive err=%v, compiled err=%v\nquery:\n%s", run, wantErr, gotErr, src)
@@ -151,6 +161,14 @@ func (q *qgen) genQuery() string {
 		sb.WriteString(" ")
 	}
 	sb.WriteString("}")
+	return q.withFragments(sb.String())
+}
+
+// withFragments appends every fragment definition a generated selection
+// may spread to the operation text op.
+func (q *qgen) withFragments(op string) string {
+	var sb strings.Builder
+	sb.WriteString(op)
 	for _, f := range q.frags {
 		fmt.Fprintf(&sb, "\nfragment %s on %s %s", f.name, f.cond, f.body)
 	}
@@ -173,7 +191,11 @@ func (q *qgen) genRoot(i int) string {
 }
 
 func (q *qgen) genLookup(i int) string {
-	td := q.keyed[q.rnd.Intn(len(q.keyed))]
+	return q.genLookupOf(q.keyed[q.rnd.Intn(len(q.keyed))], i)
+}
+
+// genLookupOf renders one lookup root field on the keyed type td.
+func (q *qgen) genLookupOf(td *schema.TypeDef, i int) string {
 	keys := keyFieldsOf(td)
 	nodes := q.g.NodesLabeled(td.Name)
 	var sb strings.Builder
@@ -323,12 +345,12 @@ func (q *qgen) sampleEdgeProp(edgeLabel, prop string) (values.Value, bool) {
 }
 
 // mutate applies a small random batch of direct mutations — removals,
-// property churn, relabels — bumping the epoch so the next execution
-// rebinds against a snapshot with tombstones.
+// property churn, relabels, duplicated keys — bumping the epoch so the
+// next execution rebinds against a snapshot with tombstones.
 func (q *qgen) mutate() {
 	g, rnd := q.g, q.rnd
 	for i := 0; i < 6; i++ {
-		switch rnd.Intn(5) {
+		switch rnd.Intn(6) {
 		case 0:
 			if nodes := g.Nodes(); len(nodes) > 0 {
 				g.RemoveNode(nodes[rnd.Intn(len(nodes))])
@@ -359,6 +381,20 @@ func (q *qgen) mutate() {
 				n := nodes[rnd.Intn(len(nodes))]
 				g.SetNodeLabel(n, q.objTypes[rnd.Intn(len(q.objTypes))].Name)
 			}
+		case 5:
+			// Copy one node's key onto another of its type: a lookup
+			// then has several candidates and must answer the lowest id.
+			if len(q.keyed) > 0 {
+				td := q.keyed[rnd.Intn(len(q.keyed))]
+				if nodes := g.NodesLabeled(td.Name); len(nodes) > 1 {
+					from, to := nodes[rnd.Intn(len(nodes))], nodes[rnd.Intn(len(nodes))]
+					for _, k := range keyFieldsOf(td) {
+						if v, ok := g.NodeProp(from, k); ok {
+							g.SetNodeProp(to, k, v)
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -372,7 +408,11 @@ func maxInt(a, b int) int {
 
 // TestDifferentialCompiledQueries is the headline proof: ≥20 randomized
 // schema seeds × conformant graphs × generated queries, re-run across
-// mutation rounds, all byte-identical between engines.
+// mutation rounds, all byte-identical between engines. Each round also
+// runs several distinct lookup texts per keyed type through one shared
+// PlanCache — every plan cached so far included, so earlier plans
+// rebind — and those plans all read the one key index their snapshot
+// builds for the type.
 func TestDifferentialCompiledQueries(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
 		seed := seed
@@ -388,12 +428,26 @@ func TestDifferentialCompiledQueries(t *testing.T) {
 			}
 			rnd := rand.New(rand.NewSource(seed*7919 + 13))
 			q := newQgen(rnd, s, g)
+			cache := NewPlanCache(s, 0)
+			var lookups []string
 			for round := 0; round < 3; round++ {
 				if round > 0 {
 					q.mutate()
 				}
 				for i := 0; i < 8; i++ {
 					assertEngineAgreement(t, s, g, q.genQuery())
+				}
+				for _, td := range q.keyed {
+					for i := 0; i < 4; i++ {
+						lookups = append(lookups, q.withFragments("{ "+q.genLookupOf(td, i)+" }"))
+					}
+				}
+				for _, src := range lookups {
+					plan, _, err := cache.Get(src)
+					if err != nil {
+						t.Fatalf("seed %d: %v\n%s", seed, err, src)
+					}
+					assertPlanAgreement(t, s, g, plan, src, 1)
 				}
 			}
 		})

@@ -77,23 +77,20 @@ func (ex *cexec) rootStep(st *rootStep, out map[string]any) error {
 	case rtTypename:
 		out[st.key] = "Query"
 	case rtList:
-		ex.b.ensureEnums()
-		nodes := ex.b.enums[st.enumIdx]
-		list, err := ex.scanList(st, nodes)
+		list, err := ex.scanList(st, ex.b.snap.LabelNodes(ex.b.syms[st.typeSlot]))
 		if err != nil {
 			return err
 		}
 		out[st.key] = list
 	case rtLookup:
-		idx := ex.b.keyIndex()[st.lookupIdx]
+		keys := ex.b.syms[st.keySlot : int(st.keySlot)+len(st.want)]
 		var node pg.NodeID
 		found := false
-		for _, v := range idx[st.bucketKey] {
+		for _, v := range ex.b.snap.KeyBucket(ex.b.syms[st.typeSlot], keys, st.bucketKey) {
 			ok := true
-			for i := range st.verify {
-				chk := &st.verify[i]
-				val, has := ex.b.snap.NodePropBySym(v, ex.b.syms[chk.slot])
-				if !has || !val.Equal(chk.want) {
+			for i, want := range st.want {
+				val, has := ex.b.snap.NodePropBySym(v, keys[i])
+				if !has || !val.Equal(want) {
 					ok = false
 					break
 				}

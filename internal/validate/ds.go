@@ -321,12 +321,8 @@ func (r *runner) ds7(emit emitFunc, shard, nShards int) {
 			for _, v := range r.nodesOfType(td.Name) {
 				var sb strings.Builder
 				for _, f := range attrs {
-					if val, ok := r.g.NodeProp(v, f); ok {
-						sb.WriteString("P" + val.Key())
-					} else {
-						sb.WriteString("A")
-					}
-					sb.WriteByte('\x00')
+					val, ok := r.g.NodeProp(v, f)
+					pg.WriteKeyPart(&sb, val, ok)
 				}
 				key := sb.String()
 				buckets[key] = append(buckets[key], v)

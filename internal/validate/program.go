@@ -481,12 +481,8 @@ func (b *binding) keyIndex(s *schema.Schema) []boundKeySet {
 				for _, v := range b.nodesOf[td.Name] {
 					var sb strings.Builder
 					for _, f := range attrs {
-						if val, ok := b.g.NodeProp(v, f); ok {
-							sb.WriteString("P" + val.Key())
-						} else {
-							sb.WriteString("A")
-						}
-						sb.WriteByte('\x00')
+						val, ok := b.g.NodeProp(v, f)
+						pg.WriteKeyPart(&sb, val, ok)
 					}
 					key := sb.String()
 					if _, seen := buckets[key]; !seen {
