@@ -1,7 +1,7 @@
 # Tier-1 gate: everything must build, vet clean, pass the test suite
-# under the race detector, and keep every validation engine in agreement
-# (the differential harness runs under -race as part of `race`; the
-# dedicated `differential` target re-runs just it, shuffled).
+# under the race detector, and keep the fused engine in agreement with
+# its test oracles (the differential harness runs under -race as part of
+# `race`; the dedicated `differential` target re-runs just it, shuffled).
 .PHONY: check build vet test race api-golden differential fuzz-smoke fuzz-snapshot-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke bench-serve scale-smoke scale-differential stream-smoke snapshot-differential clean
 
 check: build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
@@ -26,11 +26,11 @@ race:
 api-golden:
 	go test -run 'TestAPIGolden|TestLegacyRoutesByteIdentical' -count=1 ./internal/server/
 
-# The engine-equivalence proofs on their own: every validation engine
-# configuration must emit the byte-identical violation set, and the
-# compiled query engine must agree byte-for-byte with the tree-walking
-# executor across randomized schemas, graphs, queries, and mutations —
-# raced and shuffled.
+# The engine-equivalence proofs on their own: every fused validation
+# configuration must emit the byte-identical violation set as the
+# rule-by-rule test oracle, and the compiled query engine must agree
+# byte-for-byte with the tree-walking test oracle across randomized
+# schemas, graphs, queries, and mutations — raced and shuffled.
 differential:
 	go test -race -shuffle=on -timeout 10m -run 'TestDifferential' -count=1 ./internal/validate/ ./internal/query/
 
@@ -44,21 +44,22 @@ bench:
 	go test -bench=. -benchmem -run=^$$ ./...
 
 # One iteration of every benchmark — catches benchmarks that no longer
-# compile or fail their own assertions, without measuring anything.
+# compile or fail their own assertions, without measuring anything. The
+# comparisons against test oracles live in the internal packages.
 bench-smoke:
-	go test -bench=. -benchtime=1x -run=^$$ .
+	go test -bench=. -benchtime=1x -run=^$$ . ./internal/validate/ ./internal/query/ ./internal/pg/
 
-# Fused-engine ablation: fused vs. rule-by-rule vs. naive pair scan.
-# Emits benchstat-compatible output to BENCH_fused.json alongside the
-# terminal stream.
+# Fused-engine ablation: fused vs. the rule-by-rule and naive pair-scan
+# test oracles. Emits benchstat-compatible output to BENCH_fused.json
+# alongside the terminal stream.
 bench-fused:
-	go test -bench=BenchmarkAblationFused -benchmem -count=6 -run=^$$ . | tee BENCH_fused.json
+	go test -bench=BenchmarkAblationFused -benchmem -count=6 -run=^$$ ./internal/validate/ | tee BENCH_fused.json
 
 # Compiled-program ablation: precompiled program (cross-run symbol
 # tables + binding reuse) vs. compile-on-the-fly fused runs vs. the
-# rule-by-rule engine, at 300/1000/5000 nodes per type.
+# rule-by-rule test oracle, at 300/1000/5000 nodes per type.
 bench-compiled:
-	go test -bench=BenchmarkCompiledReuse -benchmem -count=6 -run=^$$ . | tee BENCH_compiled.json
+	go test -bench=BenchmarkCompiledReuse -benchmem -count=6 -run=^$$ ./internal/validate/ | tee BENCH_compiled.json
 
 # E10 — incremental revalidation: full vs delta-aware runs at ~0.1%
 # and ~1% mutation batches over a ~10⁶-element graph, driven through the
@@ -67,21 +68,23 @@ bench-incremental:
 	go test -bench=BenchmarkIncremental -benchmem -count=3 -timeout=45m -run=^$$ . | tee BENCH_incremental.json
 
 # Million-element scaling: compiled fused validation at ~10⁵ and ~10⁶
-# graph elements across 1/2/4/8 workers, plus CSV loader throughput.
+# graph elements across 1/2/4/8 workers, plus CSV loader throughput
+# (streaming and the two-phase test loader).
 bench-scale:
-	go test -bench='BenchmarkScale|BenchmarkLoadCSV' -benchmem -count=3 -timeout=45m -run=^$$ . | tee BENCH_scale.json
+	( go test -bench=BenchmarkScale -benchmem -count=3 -timeout=45m -run=^$$ . && \
+	  go test -bench=BenchmarkLoadCSV -benchmem -count=3 -timeout=45m -run=^$$ ./internal/pg/ ) | tee BENCH_scale.json
 
-# E12 — query serving: compiled plans vs the interpretive executor over
-# a ~10⁶-element graph — cold (compile per query) and cached (plan +
+# E12 — query serving: compiled plans vs the interpretive test oracle
+# over a ~10⁶-element graph — cold (compile per query) and cached (plan +
 # epoch binding reused) — for a key lookup + traversal and a full scan.
 bench-query:
-	go test -bench=BenchmarkQueryEngine -benchmem -count=3 -timeout=45m -run=^$$ . | tee BENCH_query.json
+	go test -bench=BenchmarkQueryEngine -benchmem -count=3 -timeout=45m -run=^$$ ./internal/query/ | tee BENCH_query.json
 
-# E11 — ingestion: the streaming columnar loader vs the two-phase
-# ReadCSV path, bare and with the first validation pass fused in, at
-# ~10⁵ and ~10⁶ elements.
+# E11 — ingestion: the streaming columnar loader vs the two-phase test
+# loader, bare and with the first validation pass fused in, at ~10⁵ and
+# ~10⁶ elements.
 bench-ingest:
-	go test -bench=BenchmarkIngest -benchmem -count=3 -timeout=45m -run=^$$ . | tee BENCH_ingest.json
+	go test -bench=BenchmarkIngest -benchmem -count=3 -timeout=45m -run=^$$ ./internal/pg/ | tee BENCH_ingest.json
 
 # Quick mode of the scaling benchmark: one iteration of BenchmarkScale,
 # enough to catch a benchmark that no longer compiles or trips its own
@@ -107,7 +110,8 @@ scale-differential:
 	go test -race -shuffle=on -count=1 -run 'TestDifferentialParallelScan' ./internal/query/
 
 # Streaming ingest smoke: validate-on-ingest over a mid-size generated
-# graph plus the streamed/two-phase loader differential, race-detected.
+# graph plus the streamed loader vs two-phase test loader differential,
+# race-detected.
 # Also runs as part of `race` (and thus `check`) with the full suite.
 stream-smoke:
 	go test -race -run 'TestStreamValidateSmoke|TestReadCSVStreamMatchesReadCSV' -count=1 ./internal/validate/ ./internal/pg/

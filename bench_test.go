@@ -12,16 +12,18 @@ package pgschema_test
 //	E7 BenchmarkE7PerRuleCost        — per-rule validation cost split
 //	   BenchmarkAblation*            — design-choice ablations
 //	   BenchmarkScale               — 10⁵/10⁶-element scaling, 1-8 workers
-//	   BenchmarkLoadCSV             — parallel CSV ingestion throughput
-//	E11 BenchmarkIngest             — streaming columnar loader and fused
-//	                                   validate-on-ingest vs the two-phase path
-//	E12 BenchmarkQueryEngine        — compiled query plans vs the
-//	                                   tree-walking executor, cold and cached
+//	E10 BenchmarkIncremental        — delta-aware vs full revalidation
 //	E14 BenchmarkSnapshot           — .pgsnap durable snapshots: save/open
 //	                                   throughput, mmap open vs stream load,
 //	                                   mapped vs heap first validation
 //
-// Run with: go test -bench=. -benchmem
+// The benchmarks that compare against a test oracle live next to it:
+// BenchmarkAblationFused, BenchmarkAblationIndexes and
+// BenchmarkCompiledReuse in internal/validate; E12 BenchmarkQueryEngine
+// and BenchmarkQueryExecution in internal/query; E11 BenchmarkIngest
+// and BenchmarkLoadCSV in internal/pg.
+//
+// Run with: go test -bench=. -benchmem ./...
 
 import (
 	"bytes"
@@ -254,94 +256,6 @@ func BenchmarkE7PerRuleCost(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationIndexes compares the indexed implementations of the
-// pair-quantified rules (WS4, DS1, DS3) against the textbook O(|E|²) pair
-// scans from the definitions.
-func BenchmarkAblationIndexes(b *testing.B) {
-	s, g := benchGraph(b, 1000)
-	rules := []pgschema.Rule{validate.WS4, validate.DS3}
-	for _, naive := range []bool{false, true} {
-		name := "indexed"
-		if naive {
-			name = "naive-pair-scan"
-		}
-		b.Run(name, func(b *testing.B) {
-			opts := pgschema.ValidateOptions{Rules: rules, NaivePairScan: naive}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pgschema.ValidateGraph(s, g, opts)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationFused compares the fused single-pass engine against
-// the rule-by-rule engine and the naive pair scans across graph sizes
-// (strong mode, sequential). The naive configuration is O(|E|²), so it
-// only runs at the smallest size.
-func BenchmarkAblationFused(b *testing.B) {
-	engines := []struct {
-		name string
-		opts pgschema.ValidateOptions
-	}{
-		{"fused", pgschema.ValidateOptions{Engine: pgschema.EngineFused}},
-		{"rule-by-rule", pgschema.ValidateOptions{Engine: pgschema.EngineRuleByRule}},
-		{"naive-pair-scan", pgschema.ValidateOptions{NaivePairScan: true}},
-	}
-	for _, n := range []int{300, 1000, 5000} {
-		s, g := benchGraph(b, n)
-		for _, e := range engines {
-			if e.opts.NaivePairScan && n > 300 {
-				continue
-			}
-			b.Run(fmt.Sprintf("nodesPerType=%d/%s", n, e.name), func(b *testing.B) {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res := pgschema.ValidateGraph(s, g, e.opts)
-					if !res.OK() {
-						b.Fatal("generated graph invalid")
-					}
-				}
-				b.ReportMetric(float64(g.NumNodes()+g.NumEdges()), "graph-elems")
-			})
-		}
-	}
-}
-
-// BenchmarkCompiledReuse measures the payoff of cross-run schema
-// compilation: repeated strong validation of an unchanged graph with a
-// precompiled program (symbol tables and graph binding reused across
-// iterations) against compile-on-the-fly fused runs and the
-// rule-by-rule engine. This is the serving-loop shape: the server
-// compiles once at graph load and answers every /validate request from
-// the same program.
-func BenchmarkCompiledReuse(b *testing.B) {
-	for _, n := range []int{300, 1000, 5000} {
-		s, g := benchGraph(b, n)
-		prog := pgschema.CompileValidation(s)
-		engines := []struct {
-			name string
-			opts pgschema.ValidateOptions
-		}{
-			{"compiled", pgschema.ValidateOptions{Engine: pgschema.EngineFused, Program: prog}},
-			{"per-run-compile", pgschema.ValidateOptions{Engine: pgschema.EngineFused}},
-			{"rule-by-rule", pgschema.ValidateOptions{Engine: pgschema.EngineRuleByRule}},
-		}
-		for _, e := range engines {
-			b.Run(fmt.Sprintf("nodesPerType=%d/%s", n, e.name), func(b *testing.B) {
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res := pgschema.ValidateGraph(s, g, e.opts)
-					if !res.OK() {
-						b.Fatal("generated graph invalid")
-					}
-				}
-				b.ReportMetric(float64(g.NumNodes()+g.NumEdges()), "graph-elems")
-			})
-		}
-	}
-}
-
 // BenchmarkAblationSatPortfolio measures each satisfiability procedure in
 // isolation on Example 6.1(a) (all three can decide it) — motivating the
 // portfolio order counting → tableau → bounded.
@@ -399,89 +313,6 @@ func BenchmarkAblationIncremental(b *testing.B) {
 	_ = base
 }
 
-// BenchmarkQueryExecution measures GraphQL traversal over a generated
-// graph: a keyed lookup with a two-hop expansion, and a full listing.
-func BenchmarkQueryExecution(b *testing.B) {
-	s, g := benchGraph(b, 1000)
-	authors := g.NodesLabeled("Author")
-	name, _ := g.NodeProp(authors[0], "name")
-	lookup := fmt.Sprintf(`{ author(name: %q) { name favoriteBook { title author { name } } } }`, name.AsString())
-	b.Run("lookup-2hop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := pgschema.ExecuteQuery(s, g, lookup); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("list-1000", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := pgschema.ExecuteQuery(s, g, `{ allAuthors { name } }`); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkQueryEngine — E12: compiled plans against the tree-walking
-// executor over a ~10⁶-element graph. The cold arm pays parse + compile
-// every iteration (a plan-cache miss); the cached arm reuses the plan
-// and its epoch-keyed graph binding (a hit on an unchanged graph) —
-// the steady state of a server answering a repeated query. The lookup
-// case is where compilation pays most: the interpretive engine resolves
-// `author(name: …)` by scanning every Author node, the bound plan
-// answers from its key-bucket index. `make bench-query` captures this
-// into BENCH_query.json.
-func BenchmarkQueryEngine(b *testing.B) {
-	s, g := benchGraph(b, 143_000)
-	elems := g.NumNodes() + g.NumEdges()
-	authors := g.NodesLabeled("Author")
-	name, _ := g.NodeProp(authors[len(authors)/2], "name")
-	lookup := fmt.Sprintf(`{ author(name: %q) { name favoriteBook { title } relatedAuthor { name } } }`, name.AsString())
-	scan := `{ allAuthors { name } }`
-	for _, q := range []struct{ kind, src string }{
-		{"lookup-traverse", lookup},
-		{"scan-all", scan},
-	} {
-		doc, err := pgschema.ParseQuery(q.src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		warm := pgschema.CompileQuery(s, doc)
-		if _, err := warm.Execute(context.Background(), g, ""); err != nil {
-			b.Fatal(err)
-		}
-		b.Run(q.kind+"/interpretive", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := pgschema.ExecuteQuery(s, g, q.src); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(elems), "graph-elems")
-		})
-		b.Run(q.kind+"/compiled-cold", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				doc, err := pgschema.ParseQuery(q.src)
-				if err != nil {
-					b.Fatal(err)
-				}
-				plan := pgschema.CompileQuery(s, doc)
-				if _, err := plan.Execute(context.Background(), g, ""); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(elems), "graph-elems")
-		})
-		b.Run(q.kind+"/compiled-cached", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := warm.Execute(context.Background(), g, ""); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(elems), "graph-elems")
-		})
-	}
-}
-
 // BenchmarkSchemaBuild measures the front half of the pipeline: lexing,
 // parsing, and building the formal schema with consistency checking.
 func BenchmarkSchemaBuild(b *testing.B) {
@@ -519,12 +350,11 @@ func BenchmarkScale(b *testing.B) {
 		elems := g.NumNodes() + g.NumEdges()
 		// Warm the program binding and columnar snapshot so their one-time
 		// construction is not billed to whichever config runs first.
-		pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{Engine: pgschema.EngineFused, Program: prog})
+		pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{Workers: 1, Program: prog})
 		for _, workers := range []int{1, 2, 4, 8} {
 			name := fmt.Sprintf("elems=%d/workers=%d", elems, workers)
 			b.Run(name, func(b *testing.B) {
 				opts := pgschema.ValidateOptions{
-					Engine:          pgschema.EngineFused,
 					Program:         prog,
 					Workers:         workers,
 					ElementSharding: workers > 1,
@@ -562,142 +392,6 @@ func BenchmarkScale(b *testing.B) {
 	}
 }
 
-// BenchmarkLoadCSV measures the parallel chunked CSV ingestion pipeline
-// (bufio + csv.ReuseRecord + batched parse workers). SetBytes reports
-// loader throughput in MB/s of raw CSV.
-func BenchmarkLoadCSV(b *testing.B) {
-	for _, n := range []int{1000, 10_000} {
-		b.Run(fmt.Sprintf("nodesPerType=%d", n), func(b *testing.B) {
-			_, g := benchGraph(b, n)
-			var nodes, edges bytes.Buffer
-			if err := g.WriteCSV(&nodes, &edges); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(nodes.Len() + edges.Len()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				loaded, err := pgschema.ReadGraphCSV(bytes.NewReader(nodes.Bytes()), bytes.NewReader(edges.Bytes()))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if loaded.NumNodes() != g.NumNodes() || loaded.NumEdges() != g.NumEdges() {
-					b.Fatalf("round trip lost elements: %d/%d nodes, %d/%d edges",
-						loaded.NumNodes(), g.NumNodes(), loaded.NumEdges(), g.NumEdges())
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkIngest — E11: the streaming columnar loader against the
-// map-shaped two-phase loader, with and without the fused first
-// validation pass, at ~10⁵ and ~10⁶ elements. SetBytes reports raw CSV
-// MB/s; Melems/s is graph elements materialized (and, in the +validate
-// arms, validated) per second. `make bench-ingest` captures this into
-// BENCH_ingest.json.
-func BenchmarkIngest(b *testing.B) {
-	for _, n := range []int{15_000, 143_000} {
-		s, g := benchGraph(b, n)
-		var nodes, edges bytes.Buffer
-		if err := g.WriteCSV(&nodes, &edges); err != nil {
-			b.Fatal(err)
-		}
-		wantNodes, wantEdges := g.NumNodes(), g.NumEdges()
-		elems := wantNodes + wantEdges
-		csvBytes := int64(nodes.Len() + edges.Len())
-		prog := pgschema.CompileValidation(s)
-		// Drop the generated graph: ingest is a one-shot operation (CLI
-		// run, server startup) where nothing else is live, and holding
-		// hundreds of MB here would inflate the GC pacing target and
-		// subsidize whichever arm allocates most.
-		g = nil
-
-		// Start every iteration from a collected heap with freed spans
-		// returned to the OS, the state a one-shot process starts in:
-		// without this, pages faulted in by one arm are reused warm by
-		// whichever arm runs next, and the numbers depend on benchmark
-		// order instead of on the loaders.
-		gcFresh := func(b *testing.B) {
-			b.StopTimer()
-			debug.FreeOSMemory()
-			b.StartTimer()
-		}
-
-		check := func(b *testing.B, loaded *pgschema.Graph) {
-			b.Helper()
-			if loaded.NumNodes() != wantNodes || loaded.NumEdges() != wantEdges {
-				b.Fatalf("round trip lost elements: %d/%d nodes, %d/%d edges",
-					loaded.NumNodes(), wantNodes, loaded.NumEdges(), wantEdges)
-			}
-		}
-		perSec := func(b *testing.B) {
-			b.ReportMetric(float64(elems)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Melems/s")
-		}
-
-		b.Run(fmt.Sprintf("elems=%d/load=readcsv", elems), func(b *testing.B) {
-			b.SetBytes(csvBytes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				gcFresh(b)
-				loaded, err := pgschema.ReadGraphCSV(bytes.NewReader(nodes.Bytes()), bytes.NewReader(edges.Bytes()))
-				if err != nil {
-					b.Fatal(err)
-				}
-				check(b, loaded)
-			}
-			perSec(b)
-		})
-		b.Run(fmt.Sprintf("elems=%d/load=stream", elems), func(b *testing.B) {
-			b.SetBytes(csvBytes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				gcFresh(b)
-				loaded, err := pgschema.ReadGraphCSVStream(context.Background(),
-					bytes.NewReader(nodes.Bytes()), bytes.NewReader(edges.Bytes()))
-				if err != nil {
-					b.Fatal(err)
-				}
-				check(b, loaded)
-			}
-			perSec(b)
-		})
-		b.Run(fmt.Sprintf("elems=%d/validate=two-phase", elems), func(b *testing.B) {
-			b.SetBytes(csvBytes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				gcFresh(b)
-				loaded, err := pgschema.ReadGraphCSV(bytes.NewReader(nodes.Bytes()), bytes.NewReader(edges.Bytes()))
-				if err != nil {
-					b.Fatal(err)
-				}
-				res := pgschema.ValidateGraph(s, loaded, pgschema.ValidateOptions{Program: prog})
-				if !res.OK() {
-					b.Fatal("generated graph invalid")
-				}
-			}
-			perSec(b)
-		})
-		b.Run(fmt.Sprintf("elems=%d/validate=on-ingest", elems), func(b *testing.B) {
-			b.SetBytes(csvBytes)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				gcFresh(b)
-				res, loaded, err := pgschema.ValidateCSVStream(context.Background(), s,
-					bytes.NewReader(nodes.Bytes()), bytes.NewReader(edges.Bytes()),
-					pgschema.ValidateOptions{Program: prog})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.OK() {
-					b.Fatal("generated graph invalid")
-				}
-				check(b, loaded)
-			}
-			perSec(b)
-		})
-	}
-}
-
 func mustParseB(b *testing.B, sdl string) *pgschema.Schema {
 	b.Helper()
 	s, err := pgschema.ParseSchema(sdl)
@@ -717,7 +411,9 @@ func mustParseB(b *testing.B, sdl string) *pgschema.Schema {
 func BenchmarkIncremental(b *testing.B) {
 	s, g := benchGraph(b, 143_000)
 	prog := pgschema.CompileValidation(s)
-	opts := pgschema.ValidateOptions{Engine: pgschema.EngineFused, Program: prog}
+	// Workers: 1 keeps both arms sequential; a 0 would autotune the full
+	// arm at this size.
+	opts := pgschema.ValidateOptions{Workers: 1, Program: prog}
 	base := pgschema.ValidateGraph(s, g, opts)
 	if !base.OK() {
 		b.Fatal("seed graph invalid")

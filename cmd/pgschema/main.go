@@ -9,7 +9,7 @@
 //
 //	pgschema fmt      <schema.graphql>
 //	pgschema check    <schema.graphql>
-//	pgschema validate <schema.graphql> <graph.json|nodes.csv,edges.csv> [-mode strong|weak|directives] [-max N] [-workers N] [-engine auto|fused|rule-by-rule] [-ingest stream|two-phase] [-compile-stats]
+//	pgschema validate <schema.graphql> <graph.json|nodes.csv,edges.csv> [-mode strong|weak|directives] [-max N] [-workers N] [-compile-stats] [-sched-stats]
 //	pgschema sat      <schema.graphql> <TypeName> [-max-nodes N] [-witness FILE]
 //	pgschema generate <schema.graphql> [-nodes N] [-seed N]
 //	pgschema api      <schema.graphql> [-no-inverse] [-keep-directives]
@@ -30,6 +30,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -110,11 +111,8 @@ commands:
       -mode strong|weak|directives  satisfaction notion (default strong)
       -max N                        stop after N violations
       -workers N                    parallel validation workers (0 = auto)
-      -engine auto|fused|rule-by-rule
-                                    evaluation engine (default auto = fused)
-      -ingest stream|two-phase      CSV loading: fused validate-on-ingest
-                                    (default) or load-then-validate
       -compile-stats                print compiled-program statistics to stderr
+      -sched-stats                  print scheduler telemetry to stderr
   sat      <schema> <Type>          decide object-type satisfiability (§6.2)
       -max-nodes N                  bound for the finite-model search
       -witness FILE                 write the witness graph as JSON
@@ -169,7 +167,7 @@ func loadSchema(path string) (*schema.Schema, error) {
 // size). opts apply only to the .pgsnap path.
 func loadGraph(path string, opts ...pg.OpenOption) (*pg.Graph, error) {
 	if nodesPath, edgesPath, ok := strings.Cut(path, ","); ok {
-		return loadGraphCSV(nodesPath, edgesPath, true)
+		return loadGraphCSV(nodesPath, edgesPath)
 	}
 	if strings.HasSuffix(path, ".pgsnap") {
 		return pg.OpenSnapshot(path, opts...)
@@ -187,33 +185,9 @@ func fileExists(path string) bool {
 	return err == nil && st.Mode().IsRegular()
 }
 
-// saveSnapshot writes the graph's snapshot to path atomically: the
-// bytes go to a temp file in the same directory, fsynced, then renamed
-// over the target so a crash never leaves a torn .pgsnap behind.
-func saveSnapshot(g *pg.Graph, path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".pgsnap-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := pg.WriteSnapshot(tmp, g.Snapshot()); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// loadGraphCSV opens a nodes/edges CSV pair and loads it with either
-// the streaming columnar builder or the legacy two-phase loader.
-func loadGraphCSV(nodesPath, edgesPath string, stream bool) (*pg.Graph, error) {
+// loadGraphCSV opens a nodes/edges CSV pair and loads it with the
+// streaming columnar builder.
+func loadGraphCSV(nodesPath, edgesPath string) (*pg.Graph, error) {
 	nf, err := os.Open(nodesPath)
 	if err != nil {
 		return nil, err
@@ -224,10 +198,7 @@ func loadGraphCSV(nodesPath, edgesPath string, stream bool) (*pg.Graph, error) {
 		return nil, err
 	}
 	defer ef.Close()
-	if stream {
-		return pg.ReadCSVStream(nf, ef)
-	}
-	return pg.ReadCSV(nf, ef)
+	return pg.ReadCSVStream(nf, ef)
 }
 
 func cmdFmt(args []string) error {
@@ -269,16 +240,11 @@ func cmdValidate(args []string) error {
 	mode := fs.String("mode", "strong", "satisfaction notion")
 	max := fs.Int("max", 0, "maximum violations to report (0 = all)")
 	workers := fs.Int("workers", 0, "parallel workers (0 = autotune from graph size)")
-	engine := fs.String("engine", "auto", "evaluation engine: auto, fused, or rule-by-rule")
-	ingest := fs.String("ingest", "stream", "CSV ingestion path: stream (fused validate-on-ingest) or two-phase")
 	compileStats := fs.Bool("compile-stats", false, "print compiled-program statistics to stderr")
 	schedStats := fs.Bool("sched-stats", false, "print scheduler telemetry (chunks, steals, per-worker busy) to stderr")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		return fmt.Errorf("validate: want schema and graph files")
-	}
-	if *ingest != "stream" && *ingest != "two-phase" {
-		return fmt.Errorf("validate: unknown ingest path %q", *ingest)
 	}
 	s, err := loadSchema(fs.Arg(0))
 	if err != nil {
@@ -295,16 +261,6 @@ func cmdValidate(args []string) error {
 	default:
 		return fmt.Errorf("validate: unknown mode %q", *mode)
 	}
-	switch *engine {
-	case "auto":
-		opts.Engine = validate.EngineAuto
-	case "fused":
-		opts.Engine = validate.EngineFused
-	case "rule-by-rule":
-		opts.Engine = validate.EngineRuleByRule
-	default:
-		return fmt.Errorf("validate: unknown engine %q", *engine)
-	}
 	prog := validate.Compile(s)
 	opts.Program = prog
 	if *compileStats {
@@ -314,7 +270,7 @@ func cmdValidate(args []string) error {
 	}
 	var g *pg.Graph
 	var res *validate.Result
-	if nodesPath, edgesPath, ok := strings.Cut(fs.Arg(1), ","); ok && *ingest == "stream" {
+	if nodesPath, edgesPath, ok := strings.Cut(fs.Arg(1), ","); ok {
 		// CSV pair: fuse the load and the first validation pass — the
 		// streamed columns are validated without a second materialization.
 		nf, err := os.Open(nodesPath)
@@ -333,12 +289,7 @@ func cmdValidate(args []string) error {
 		}
 	} else {
 		var err error
-		if nodesPath, edgesPath, ok := strings.Cut(fs.Arg(1), ","); ok {
-			g, err = loadGraphCSV(nodesPath, edgesPath, false)
-		} else {
-			g, err = loadGraph(fs.Arg(1))
-		}
-		if err != nil {
+		if g, err = loadGraph(fs.Arg(1)); err != nil {
 			return err
 		}
 		res = validate.Validate(s, g, opts)
@@ -728,7 +679,10 @@ func cmdSnapshot(args []string) error {
 			return err
 		}
 		start := time.Now()
-		if err := saveSnapshot(g, fs.Arg(1)); err != nil {
+		err = pg.WriteFileAtomic(fs.Arg(1), func(w io.Writer) error {
+			return pg.WriteSnapshot(w, g.Snapshot())
+		})
+		if err != nil {
 			return err
 		}
 		st, err := os.Stat(fs.Arg(1))

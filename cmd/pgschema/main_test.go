@@ -2,13 +2,10 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"pgschema/internal/query"
 )
 
 const testSchema = `
@@ -131,21 +128,6 @@ func TestCmdValidate(t *testing.T) {
 	}
 	if !strings.Contains(out, "2 nodes, 1 edges") {
 		t.Errorf("CSV validate output: %s", out)
-	}
-
-	// Both ingest paths accept the pair and agree; a bogus path errors.
-	for _, ingest := range []string{"stream", "two-phase"} {
-		out, err = capture(t, func() error {
-			return cmdValidate([]string{"-ingest", ingest, schema, nodesCSV + "," + edgesCSV})
-		})
-		if err != nil || !strings.Contains(out, "satisfies") {
-			t.Errorf("-ingest %s: err %v, output: %s", ingest, err, out)
-		}
-	}
-	if _, err := capture(t, func() error {
-		return cmdValidate([]string{"-ingest", "warp", schema, nodesCSV + "," + edgesCSV})
-	}); err == nil {
-		t.Error("unknown -ingest path accepted")
 	}
 
 	// Weak mode tolerates the unjustified node.
@@ -302,57 +284,62 @@ func TestCmdQuery(t *testing.T) {
 }
 
 // TestCmdQueryMatchesInterpretive pins the query verb, which runs the
-// compiled engine, to the interpretive executor: a key lookup, a miss,
-// a scan and an erroring query print (or fail with) exactly what the
-// interpretive path produces.
+// compiled engine, to literal output recorded from the interpretive
+// executor (now a test oracle in internal/query): a key lookup, a miss,
+// a scan and an erroring query print (or fail with) exactly this.
 func TestCmdQueryMatchesInterpretive(t *testing.T) {
 	dir := t.TempDir()
 	schemaPath := write(t, dir, "s.graphql", testSchema)
 	graphPath := write(t, dir, "g.json", testGraph)
-	s, err := loadSchema(schemaPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := loadGraph(graphPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
-		src  string
-		fail bool
+		src, want, wantErr string
 	}{
-		{`{ user(id: "u2") { login follows { login } } }`, false},
-		{`{ user(id: "u9") { login } }`, false},
-		{`{ allUsers { __typename id login follows { id } } }`, false},
-		{`{ allUsers { id bogus } }`, true},
+		{src: `{ user(id: "u2") { login follows { login } } }`, want: `{
+  "user": {
+    "follows": [],
+    "login": "bob"
+  }
+}
+`},
+		{src: `{ user(id: "u9") { login } }`, want: `{
+  "user": null
+}
+`},
+		{src: `{ allUsers { __typename id login follows { id } } }`, want: `{
+  "allUsers": [
+    {
+      "__typename": "User",
+      "follows": [
+        {
+          "id": "u2"
+        }
+      ],
+      "id": "u1",
+      "login": "ada"
+    },
+    {
+      "__typename": "User",
+      "follows": [],
+      "id": "u2",
+      "login": "bob"
+    }
+  ]
+}
+`},
+		{src: `{ allUsers { id bogus } }`, wantErr: `1:17: type User has no field "bogus"`},
 	} {
-		src := tc.src
-		doc, err := query.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, wantErr := query.Execute(s, g, doc, "")
-		if (wantErr != nil) != tc.fail {
-			t.Fatalf("%s: interpretive error %v, want failure %v", src, wantErr, tc.fail)
-		}
-		got, gotErr := capture(t, func() error { return cmdQuery([]string{schemaPath, graphPath, src}) })
-		if wantErr != nil {
-			if gotErr == nil || gotErr.Error() != wantErr.Error() {
-				t.Errorf("%s: error %v, want %v", src, gotErr, wantErr)
+		got, err := capture(t, func() error { return cmdQuery([]string{schemaPath, graphPath, tc.src}) })
+		if tc.wantErr != "" {
+			if err == nil || err.Error() != tc.wantErr {
+				t.Errorf("%s: error %v, want %s", tc.src, err, tc.wantErr)
 			}
 			continue
 		}
-		if gotErr != nil {
-			t.Fatalf("%s: %v", src, gotErr)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
 		}
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(want); err != nil {
-			t.Fatal(err)
-		}
-		if got != buf.String() {
-			t.Errorf("%s: printed\n%s\nwant\n%s", src, got, buf.String())
+		if got != tc.want {
+			t.Errorf("%s: printed\n%s\nwant\n%s", tc.src, got, tc.want)
 		}
 	}
 }

@@ -23,35 +23,6 @@ const (
 	csvReaderSize = 1 << 16
 )
 
-// ReadCSV loads a graph from two CSV streams in the common
-// "nodes file + edges file" layout used by bulk importers:
-//
-//	nodes:  id,label,<prop1>,<prop2>,...
-//	edges:  source,target,label,<prop1>,...
-//
-// Empty cells mean "property absent". Cell values are typed by sniffing:
-// integers, floats, booleans, and a JSON-style [a,b,c] list form; anything
-// else is a string.
-//
-// Loading is pipelined: a reader goroutine streams record batches off a
-// buffered csv.Reader (ReuseRecord — the csv package allocates fresh
-// strings per record, so only the record slice needs copying), parse
-// workers sniff cell values and assemble sorted property rows in
-// parallel, and the single builder goroutine applies batches in record
-// order (graph mutation is single-threaded). Property-name syms are
-// interned once per header instead of once per cell.
-func ReadCSV(nodes, edges io.Reader) (*Graph, error) {
-	g := New()
-	byName := make(map[string]NodeID)
-	if err := g.readNodeCSV(nodes, byName); err != nil {
-		return nil, err
-	}
-	if err := g.readEdgeCSV(edges, byName); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
 // propCols is the per-file property-column plan: which columns carry
 // properties, their header names and pre-interned syms, and the column
 // order that yields name-sorted property rows.
@@ -79,13 +50,6 @@ func newPropCols(syms *symbols, header []string, skip int) propCols {
 		return header[c.order[a]] < header[c.order[b]]
 	})
 	return c
-}
-
-// parseRow sniffs the property cells of one record into a name-sorted
-// Prop slice. A duplicate header column overwrites the earlier one, as
-// the sequential loader's repeated SetNodeProp did.
-func (c *propCols) parseRow(rec []string) []Prop {
-	return c.parseRowInto(nil, rec, 0)
 }
 
 // parseRowInto is parseRow appending into a shared flat buffer: the
@@ -312,21 +276,6 @@ func readCSVRecords(
 	return src.fail
 }
 
-type parsedNode struct {
-	id    string
-	label string
-	props []Prop
-	err   error
-}
-
-type nodeBatch struct {
-	seq   int
-	lines []int
-	rows  []parsedNode
-}
-
-func (b nodeBatch) seqNo() int { return b.seq }
-
 // checkNodeHeader validates the fixed prefix of a node CSV header; an
 // EOF from openCSV means the file is empty (not even a header).
 func checkNodeHeader(header []string, err error) error {
@@ -359,68 +308,9 @@ func checkNodeRecord(rec []string, ncols, line int) error {
 	return nil
 }
 
-func (g *Graph) readNodeCSV(r io.Reader, byName map[string]NodeID) error {
-	cr, header, err := openCSV(r)
-	if err := checkNodeHeader(header, err); err != nil {
-		return err
-	}
-	cols := newPropCols(&g.syms, header, 2)
-
-	parse := func(b rawBatch) seqBatch {
-		out := nodeBatch{seq: b.seq, lines: b.lines, rows: make([]parsedNode, len(b.rows))}
-		for i, rec := range b.rows {
-			if err := checkNodeRecord(rec, len(cols.names), b.lines[i]); err != nil {
-				out.rows[i].err = err
-				continue
-			}
-			out.rows[i] = parsedNode{id: rec[0], label: rec[1], props: cols.parseRow(rec)}
-		}
-		return out
-	}
-
-	// Run-length label cache: consecutive rows of one label intern once.
-	lastLabel, lastSym := "", NoSym
-	apply := func(pb seqBatch) error {
-		b := pb.(nodeBatch)
-		for i, row := range b.rows {
-			if row.err != nil {
-				return row.err
-			}
-			if _, dup := byName[row.id]; dup {
-				return fmt.Errorf("pg: node CSV line %d: duplicate node id %q", b.lines[i], row.id)
-			}
-			if row.label != lastLabel || lastSym == NoSym {
-				lastLabel, lastSym = row.label, g.syms.intern(row.label)
-			}
-			id := g.addNodeSym(lastSym)
-			byName[row.id] = id
-			if len(row.props) > 0 {
-				g.setNodePropsSorted(id, row.props)
-			}
-		}
-		return nil
-	}
-
-	return readCSVRecords(cr, parse, apply, nodeReadErr)
-}
-
 func nodeReadErr(line int, err error) error {
 	return fmt.Errorf("pg: node CSV line %d: %w", line, err)
 }
-
-type parsedEdge struct {
-	src, dst NodeID
-	label    string
-	props    []Prop
-	err      error
-}
-
-type edgeBatch struct {
-	seq  int
-	rows []parsedEdge
-}
-
-func (b edgeBatch) seqNo() int { return b.seq }
 
 // checkEdgeHeader validates the fixed prefix of an edge CSV header.
 func checkEdgeHeader(header []string, err error) error {
@@ -452,72 +342,8 @@ func checkEdgeRecord(rec []string, ncols, line int) error {
 	return nil
 }
 
-func (g *Graph) readEdgeCSV(r io.Reader, byName map[string]NodeID) error {
-	cr, header, err := openCSV(r)
-	if err := checkEdgeHeader(header, err); err != nil {
-		return err
-	}
-	cols := newPropCols(&g.syms, header, 3)
-
-	// The node phase is complete, so byName is read-only here and
-	// endpoint resolution can run on the parse workers.
-	parse := func(b rawBatch) seqBatch {
-		out := edgeBatch{seq: b.seq, rows: make([]parsedEdge, len(b.rows))}
-		for i, rec := range b.rows {
-			if err := checkEdgeRecord(rec, len(cols.names), b.lines[i]); err != nil {
-				out.rows[i].err = err
-				continue
-			}
-			src, dst, err := resolveEndpoints(byName, rec, b.lines[i])
-			if err != nil {
-				out.rows[i].err = err
-				continue
-			}
-			out.rows[i] = parsedEdge{src: src, dst: dst, label: rec[2], props: cols.parseRow(rec)}
-		}
-		return out
-	}
-
-	lastLabel, lastSym := "", NoSym
-	apply := func(pb seqBatch) error {
-		for _, row := range pb.(edgeBatch).rows {
-			if row.err != nil {
-				return row.err
-			}
-			if row.label != lastLabel || lastSym == NoSym {
-				lastLabel, lastSym = row.label, g.syms.intern(row.label)
-			}
-			eid, err := g.addEdgeSym(row.src, row.dst, lastSym)
-			if err != nil {
-				return err
-			}
-			if len(row.props) > 0 {
-				g.setEdgePropsSorted(eid, row.props)
-			}
-		}
-		return nil
-	}
-
-	return readCSVRecords(cr, parse, apply, edgeReadErr)
-}
-
 func edgeReadErr(line int, err error) error {
 	return fmt.Errorf("pg: edge CSV line %d: %w", line, err)
-}
-
-// resolveEndpoints maps an edge record's source and target ids through
-// the node-phase name index, diagnosing unknown endpoints with the
-// record's physical line.
-func resolveEndpoints(byName map[string]NodeID, rec []string, line int) (src, dst NodeID, err error) {
-	src, ok := byName[rec[0]]
-	if !ok {
-		return 0, 0, fmt.Errorf("pg: edge CSV line %d: unknown source %q", line, rec[0])
-	}
-	dst, ok = byName[rec[1]]
-	if !ok {
-		return 0, 0, fmt.Errorf("pg: edge CSV line %d: unknown target %q", line, rec[1])
-	}
-	return src, dst, nil
 }
 
 // SniffValue types a CSV cell: int, float, bool, "[a,b]" list (elements
@@ -613,7 +439,7 @@ func splitTopLevel(s string) []string {
 	return append(parts, s[start:])
 }
 
-// WriteCSV writes the graph in the two-file CSV layout ReadCSV accepts:
+// WriteCSV writes the graph in the two-file CSV layout ReadCSVStream accepts:
 // node and edge property columns are the union of property names present,
 // in sorted order; absent properties are empty cells.
 func (g *Graph) WriteCSV(nodes, edges io.Writer) error {

@@ -434,7 +434,7 @@ func Verify() OpenOption { return func(o *openOpts) { o.verify = true } }
 // graph size, open cost O(header + symbol table), pages faulted in
 // lazily on first access. The graph serves compiled validation and
 // query workloads directly from the mapped snapshot; the first
-// mutation (or store-shaped read, e.g. the rule-by-rule engine)
+// mutation (or store-shaped read, e.g. the rule-by-rule test oracle)
 // materializes a private mutable store copy-on-write — the file is
 // never written through.
 //

@@ -11,18 +11,29 @@ import (
 	"strings"
 )
 
-// ReadCSVStream loads a graph from the two-file CSV layout ReadCSV
-// accepts, but builds the columnar form directly: rows append into flat
+// ReadCSVStream loads a graph from two CSV streams in the common
+// "nodes file + edges file" layout used by bulk importers:
+//
+//	nodes:  id,label,<prop1>,<prop2>,...
+//	edges:  source,target,label,<prop1>,...
+//
+// Empty cells mean "property absent". Cell values are typed by sniffing
+// (SniffValue): integers, floats, booleans, and a JSON-style [a,b,c]
+// list form; anything else is a string.
+//
+// The loader builds the columnar form directly: rows append into flat
 // label and property columns, adjacency is finished as CSR by a
 // counting sort over the edge columns, and the sealed graph carries a
 // pre-built Snapshot at its current epoch. Validation right after a
 // streamed load therefore starts on sealed columns instead of paying a
 // second full materialization, and the load itself skips the per-node
-// slice growth of the mutation path (the dominant loader cost).
+// slice growth of the mutation path. Parsing is pipelined across
+// workers when GOMAXPROCS allows (readCSVRecords).
 //
-// The streamed graph is observably identical to the ReadCSV result:
-// same node and edge IDs, syms, labels, properties, and adjacency
-// order, and the same diagnostics for malformed input.
+// The streamed graph is observably identical to what loading the rows
+// one by one through the mutation API yields: same node and edge IDs,
+// syms, labels, properties, and adjacency order. The tests pin this
+// against the two-phase loader they keep as an oracle.
 func ReadCSVStream(nodes, edges io.Reader) (*Graph, error) {
 	return ReadCSVStreamContext(context.Background(), nodes, edges)
 }

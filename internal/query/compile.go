@@ -20,9 +20,10 @@ import (
 // become property-column fetches addressed by symbol slot, relationship
 // fields become CSR adjacency walks with pre-parsed edge filters,
 // fragments become indexed programs dispatched through subtype-closure
-// rows, and every error the interpretive executor would raise lazily is
-// embedded as a step that fires only when a node actually reaches it —
-// preserving the interpretive engine's observable behavior exactly.
+// rows, and every error the interpretive executor (the tree-walking test
+// oracle in interpret_test.go) would raise lazily is embedded as a step
+// that fires only when a node actually reaches it — preserving the
+// interpretive engine's observable behavior exactly.
 //
 // A Plan is immutable after Compile and safe for concurrent use. The
 // per-graph binding (symbol slots resolved to pg.Sym, subtype rows over
@@ -468,4 +469,43 @@ func (c *compiler) symSlot(name string) int32 {
 	c.symID[name] = id
 	c.p.symNames = append(c.p.symNames, name)
 	return id
+}
+
+// inverseDef resolves one apigen inverse field: the edge label it
+// traverses backwards and the type owning that relationship.
+type inverseDef struct {
+	edgeLabel  string
+	sourceType string
+}
+
+// keyFieldsOf returns the first @key field list, or nil.
+func keyFieldsOf(td *schema.TypeDef) []string {
+	sets := td.KeyFieldSets()
+	if len(sets) == 0 {
+		return nil
+	}
+	return sets[0]
+}
+
+// toValue converts a query literal to a runtime value.
+func toValue(v Value) values.Value {
+	switch v.Kind {
+	case ValInt:
+		return values.Int(v.Int)
+	case ValFloat:
+		return values.Float(v.Float)
+	case ValString:
+		return values.String(v.Text)
+	case ValBool:
+		return values.Boolean(v.Bool)
+	case ValEnum:
+		return values.Enum(v.Text)
+	case ValList:
+		elems := make([]values.Value, len(v.List))
+		for i, e := range v.List {
+			elems[i] = toValue(e)
+		}
+		return values.List(elems...)
+	}
+	return values.Null
 }

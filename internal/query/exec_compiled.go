@@ -8,6 +8,7 @@ import (
 
 	"pgschema/internal/pg"
 	"pgschema/internal/sched"
+	"pgschema/internal/values"
 )
 
 // cancelStride is how many node executions pass between context
@@ -18,8 +19,9 @@ const cancelStride = 2048
 // Execute runs the named operation of the compiled plan against a
 // graph, binding (or reusing the cached binding) at the graph's current
 // epoch. An empty operationName selects the plan's only operation. The
-// result is byte-identical (as JSON) to the interpretive Execute on the
-// same document — the differential harness pins this.
+// result is byte-identical (as JSON) to the interpretive executor (the
+// test oracle in interpret_test.go) on the same document — the
+// differential harness pins this.
 //
 // ctx is checked at scan boundaries every cancelStride nodes; a
 // cancelled execution returns ctx.Err(). A nil ctx means Background.
@@ -348,4 +350,26 @@ func (ex *cexec) edgeMatches(e pg.EdgeID, filters []edgeFilter) bool {
 		}
 	}
 	return true
+}
+
+// toNative converts a runtime value to a JSON-ready Go value.
+func toNative(v values.Value) any {
+	switch v.Kind() {
+	case values.KindNull:
+		return nil
+	case values.KindInt:
+		return v.AsInt()
+	case values.KindFloat:
+		return v.AsFloat()
+	case values.KindBoolean:
+		return v.AsBool()
+	case values.KindList:
+		out := make([]any, v.Len())
+		for i := range out {
+			out[i] = toNative(v.Elem(i))
+		}
+		return out
+	default:
+		return v.AsString()
+	}
 }

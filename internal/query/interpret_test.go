@@ -1,5 +1,10 @@
 package query
 
+// The interpretive executor: a tree walk over the query document that
+// resolves every field against the schema and graph as it goes. It is
+// the oracle the compiled plans (compile.go, exec_compiled.go) are
+// checked against byte for byte by the differential harness.
+
 import (
 	"context"
 	"fmt"
@@ -87,11 +92,6 @@ type executor struct {
 	inverse map[string]map[string]inverseDef
 }
 
-type inverseDef struct {
-	edgeLabel  string
-	sourceType string
-}
-
 func newExecutor(s *schema.Schema, g *pg.Graph, doc *Document) *executor {
 	ex := &executor{
 		s: s, g: g, doc: doc,
@@ -118,15 +118,6 @@ func newExecutor(s *schema.Schema, g *pg.Graph, doc *Document) *executor {
 		}
 	}
 	return ex
-}
-
-// keyFieldsOf returns the first @key field list, or nil.
-func keyFieldsOf(td *schema.TypeDef) []string {
-	sets := td.KeyFieldSets()
-	if len(sets) == 0 {
-		return nil
-	}
-	return sets[0]
 }
 
 // root evaluates a selection set against the synthesized Query type.
@@ -388,49 +379,4 @@ func (ex *executor) edgeMatches(e pg.EdgeID, filter map[string]values.Value) boo
 		}
 	}
 	return true
-}
-
-// toValue converts a query literal to a runtime value.
-func toValue(v Value) values.Value {
-	switch v.Kind {
-	case ValInt:
-		return values.Int(v.Int)
-	case ValFloat:
-		return values.Float(v.Float)
-	case ValString:
-		return values.String(v.Text)
-	case ValBool:
-		return values.Boolean(v.Bool)
-	case ValEnum:
-		return values.Enum(v.Text)
-	case ValList:
-		elems := make([]values.Value, len(v.List))
-		for i, e := range v.List {
-			elems[i] = toValue(e)
-		}
-		return values.List(elems...)
-	}
-	return values.Null
-}
-
-// toNative converts a runtime value to a JSON-ready Go value.
-func toNative(v values.Value) any {
-	switch v.Kind() {
-	case values.KindNull:
-		return nil
-	case values.KindInt:
-		return v.AsInt()
-	case values.KindFloat:
-		return v.AsFloat()
-	case values.KindBoolean:
-		return v.AsBool()
-	case values.KindList:
-		out := make([]any, v.Len())
-		for i := range out {
-			out[i] = toNative(v.Elem(i))
-		}
-		return out
-	default:
-		return v.AsString()
-	}
 }

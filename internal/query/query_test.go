@@ -11,7 +11,7 @@ import (
 	"pgschema/internal/values"
 )
 
-func build(t *testing.T, src string) *schema.Schema {
+func build(t testing.TB, src string) *schema.Schema {
 	t.Helper()
 	doc, err := sdlparser.Parse(src)
 	if err != nil {

@@ -114,6 +114,16 @@ func apiGoldenCases(t *testing.T) []apiGoldenCase {
 		{name: "validate_weak", method: "POST", path: "/validate", body: `{"apiVersion": "v1", "mode": "weak"}`},
 		{name: "validate_bad_mode", method: "POST", path: "/validate", body: `{"mode": "nope"}`},
 		{name: "validate_bad_version", method: "POST", path: "/validate", body: `{"apiVersion": "v2"}`},
+		// The v1 engine selectors are accepted and select nothing: a
+		// retired engine's name answers with the fused or compiled
+		// envelope; an unknown one is still a 400.
+		{name: "validate_engine_rule_by_rule", method: "POST", path: "/validate", body: `{"engine": "rule-by-rule"}`},
+		{name: "validate_bad_engine", method: "POST", path: "/validate", body: `{"engine": "warp"}`},
+		{name: "graphql_engine_interpretive", method: "POST", path: "/graphql",
+			body: `{"query": "{ city(name: \"Linköping\") { name twin { name } } }", "engine": "interpretive"}`},
+		{name: "graphql_get_engine_interpretive", method: "GET",
+			path: "/graphql?engine=interpretive&query=%7B%20allCities%20%7B%20name%20%7D%20%7D"},
+		{name: "graphql_bad_engine", method: "POST", path: "/graphql", body: `{"query": "{ __typename }", "engine": "jit"}`},
 		{name: "revalidate_no_cache", method: "POST", path: "/revalidate", body: `{"nodes": [0]}`},
 		{name: "revalidate_cached", setup: [][3]string{{"POST", "/validate", `{}`}},
 			method: "POST", path: "/revalidate", body: `{"nodes": [0]}`},

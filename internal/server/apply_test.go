@@ -220,19 +220,14 @@ func TestConcurrentApplyValidate(t *testing.T) {
 						return
 					}
 				case 3:
-					// Alternate engines so compiled plans (shared
-					// cache, epoch-keyed rebinding) race the applies
-					// too. The two aliased scans must see the same
-					// snapshot: a query observing a torn state — an
-					// apply's node visible to one scan but not the
-					// other, or a node missing its required name —
-					// fails here.
-					engine := engineCompiled
-					if j%2 == 1 {
-						engine = engineInterpretive
-					}
-					body := fmt.Sprintf(`{"engine": %q, "query":
-						"{ a: allCities { __typename } b: allCities { name } }"}`, engine)
+					// Compiled plans (shared cache, epoch-keyed
+					// rebinding) race the applies too. The two aliased
+					// scans must see the same snapshot: a query
+					// observing a torn state — an apply's node visible
+					// to one scan but not the other, or a node missing
+					// its required name — fails here.
+					body := `{"query":
+						"{ a: allCities { __typename } b: allCities { name } }"}`
 					rec := httptest.NewRecorder()
 					mux.ServeHTTP(rec, httptest.NewRequest("POST", "/graphql",
 						strings.NewReader(body)))

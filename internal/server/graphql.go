@@ -5,21 +5,18 @@ import (
 	"fmt"
 	"net/http"
 	"time"
-
-	"pgschema/internal/query"
 )
 
 // graphqlRequest is the GraphQL-over-HTTP request body, extended with
 // the v1 envelope fields. Legacy bodies ({"query", "operationName"})
-// keep working: apiVersion defaults to legacy-accepted and engine to
-// auto.
+// keep working: apiVersion defaults to legacy-accepted.
 type graphqlRequest struct {
 	APIVersion    string `json:"apiVersion"`
 	Query         string `json:"query"`
 	OperationName string `json:"operationName"`
-	// Engine selects the execution path: "auto" (default) and
-	// "compiled" run the cached compiled plan, "interpretive" keeps the
-	// tree-walking executor.
+	// Engine is accepted for v1 compatibility and selects nothing: "",
+	// "auto", "compiled" and "interpretive" all run the cached compiled
+	// plan.
 	Engine string `json:"engine"`
 }
 
@@ -31,11 +28,10 @@ type graphqlResponse struct {
 	APIVersion string         `json:"apiVersion"`
 	Data       map[string]any `json:"data,omitempty"`
 	Errors     []respError    `json:"errors,omitempty"`
-	// Engine is the execution path that answered: "compiled" or
-	// "interpretive".
+	// Engine is the execution path that answered: always "compiled".
 	Engine string `json:"engine"`
 	// Compiled reports that a compiled plan produced the result (false
-	// on the interpretive path and on parse failures).
+	// on parse failures).
 	Compiled bool `json:"compiled"`
 	// PlanCached reports the plan was served from the handler's cache;
 	// PlanMS is the time spent obtaining the plan this request (parse +
@@ -44,22 +40,17 @@ type graphqlResponse struct {
 	PlanMS     float64 `json:"planMs"`
 }
 
-const (
-	engineCompiled     = "compiled"
-	engineInterpretive = "interpretive"
-)
+// engineCompiled is the engine every GraphQL response reports.
+const engineCompiled = "compiled"
 
-// resolveQueryEngine normalizes the engine selector; the second result
-// is an error message for unknown values.
-func resolveQueryEngine(e string) (string, string) {
+// checkQueryEngine validates the v1 engine selector, returning a
+// client-error message for unknown values.
+func checkQueryEngine(e string) string {
 	switch e {
-	case "", "auto", engineCompiled:
-		return engineCompiled, ""
-	case engineInterpretive:
-		return engineInterpretive, ""
-	default:
-		return "", fmt.Sprintf("unknown engine %q (want \"auto\", \"compiled\", or \"interpretive\")", e)
+	case "", "auto", engineCompiled, "interpretive":
+		return ""
 	}
+	return fmt.Sprintf("unknown engine %q (want \"auto\", \"compiled\", or \"interpretive\")", e)
 }
 
 func (h *Handler) serveGraphQL(t *tenant, w http.ResponseWriter, r *http.Request) {
@@ -89,8 +80,7 @@ func (h *Handler) serveGraphQL(t *tenant, w http.ResponseWriter, r *http.Request
 		writeAPIError(w, http.StatusBadRequest, msg)
 		return
 	}
-	engine, msg := resolveQueryEngine(req.Engine)
-	if msg != "" {
+	if msg := checkQueryEngine(req.Engine); msg != "" {
 		writeAPIError(w, http.StatusBadRequest, msg)
 		return
 	}
@@ -99,7 +89,7 @@ func (h *Handler) serveGraphQL(t *tenant, w http.ResponseWriter, r *http.Request
 		return
 	}
 
-	resp := graphqlResponse{APIVersion: apiVersion, Engine: engine}
+	resp := graphqlResponse{APIVersion: apiVersion, Engine: engineCompiled}
 	writeQueryError := func(msg string) {
 		// GraphQL-level errors (parse, validation, execution) are 200s.
 		resp.Errors = []respError{{Message: msg}}
@@ -111,22 +101,6 @@ func (h *Handler) serveGraphQL(t *tenant, w http.ResponseWriter, r *http.Request
 		return
 	}
 	defer t.gmu.RUnlock()
-
-	if engine == engineInterpretive {
-		doc, err := query.Parse(req.Query)
-		if err != nil {
-			writeQueryError(err.Error())
-			return
-		}
-		data, err := query.ExecuteContext(r.Context(), t.s, t.g, doc, req.OperationName)
-		if err != nil {
-			writeQueryError(err.Error())
-			return
-		}
-		resp.Data = data
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
 
 	planStart := time.Now()
 	plan, cached, err := t.plans.Get(req.Query)

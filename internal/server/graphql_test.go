@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -40,8 +41,8 @@ func canonicalEnvelope(t *testing.T, body map[string]any, wantPlanMS bool) strin
 }
 
 // TestGraphQLEnvelopeGolden pins the exact v1 wire shape of /graphql
-// responses across both methods, both engines, and the plan cache, the
-// same way TestV1EnvelopeGolden pins /validate.
+// responses across both methods, the legacy engine selector, and the
+// plan cache, the same way TestV1EnvelopeGolden pins /validate.
 func TestGraphQLEnvelopeGolden(t *testing.T) {
 	h := newTestHandler(t)
 	mux := h.Mux()
@@ -70,17 +71,23 @@ func TestGraphQLEnvelopeGolden(t *testing.T) {
 		t.Errorf("POST cached envelope drifted:\ngot:    %s", got)
 	}
 
-	// Interpretive engine: no compiled/plan fields beyond the statics.
+	// The legacy "interpretive" selector is accepted and runs the
+	// compiled plan (a cache hit), on both methods.
 	rec, body = doGraphQL(t, mux, "POST", "/graphql",
 		`{"query": "{ allCities { name } }", "engine": "interpretive"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("interpretive: status %d: %s", rec.Code, rec.Body.String())
 	}
-	const goldenInterp = `{"apiVersion":"v1","compiled":false,` +
-		`"data":{"allCities":[{"name":"Linköping"},{"name":"Amsterdam"}]},` +
-		`"engine":"interpretive","planCached":false}`
-	if got := canonicalEnvelope(t, body, true); got != goldenInterp {
-		t.Errorf("interpretive envelope drifted:\ngot:    %s", got)
+	if got := canonicalEnvelope(t, body, true); got != strings.ReplaceAll(goldenData, "%s", "true") {
+		t.Errorf("interpretive-selector envelope drifted:\ngot:    %s", got)
+	}
+	rec, body = doGraphQL(t, mux, "GET",
+		"/graphql?engine=interpretive&query=%7B%20allCities%20%7B%20name%20%7D%20%7D", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET interpretive: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if got := canonicalEnvelope(t, body, true); got != strings.ReplaceAll(goldenData, "%s", "true") {
+		t.Errorf("GET interpretive-selector envelope drifted:\ngot:    %s", got)
 	}
 }
 
@@ -115,15 +122,16 @@ func TestGraphQLErrorShapes(t *testing.T) {
 		t.Errorf("unknown-operation envelope drifted:\ngot: %s", got)
 	}
 
-	// Both engines produce the identical GraphQL-level error message.
-	_, interp := doGraphQL(t, mux, "POST", "/graphql",
-		`{"query": "{ allCities { name } }", "operationName": "X", "engine": "interpretive"}`)
-	_, comp := doGraphQL(t, mux, "POST", "/graphql",
-		`{"query": "{ allCities { name } }", "operationName": "X", "engine": "compiled"}`)
-	ie := interp["errors"].([]any)[0].(map[string]any)["message"]
-	ce := comp["errors"].([]any)[0].(map[string]any)["message"]
-	if ie != ce || ie == "" {
-		t.Errorf("engines disagree on error text: interpretive=%q compiled=%q", ie, ce)
+	// Every accepted engine selector answers with the compiled engine's
+	// GraphQL-level error.
+	for i, engine := range []string{"interpretive", "compiled", "auto"} {
+		_, out := doGraphQL(t, mux, "POST", "/graphql",
+			`{"query": "{ allCities { name } }", "operationName": "X", "engine": "`+engine+`"}`)
+		want := fmt.Sprintf(`{"apiVersion":"v1","compiled":true,`+
+			`"engine":"compiled","errors":[{"message":"no operation named \"X\""}],"planCached":%v}`, i > 0)
+		if got := canonicalEnvelope(t, out, true); got != want {
+			t.Errorf("engine %s: error envelope drifted:\ngot:  %s\nwant: %s", engine, got, want)
+		}
 	}
 
 	// Transport-level failures: flat v1 error envelope, non-200 status.

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -330,14 +331,21 @@ func (r *Registry) persistTenant(t *tenant) error {
 		return nil
 	}
 	if t.sdl != "" {
-		if err := atomicWriteFile(filepath.Join(dir, tenantSchemaFile(t.name)), []byte(t.sdl)); err != nil {
+		err := pg.WriteFileAtomic(filepath.Join(dir, tenantSchemaFile(t.name)), func(w io.Writer) error {
+			_, err := io.WriteString(w, t.sdl)
+			return err
+		})
+		if err != nil {
 			return fmt.Errorf("persisting tenant schema: %w", err)
 		}
 	}
 	if t.g == nil {
 		return nil // evicted: the persisted snapshot is already current
 	}
-	if err := writeSnapshotFile(t.g, filepath.Join(dir, TenantSnapshotFile(t.name))); err != nil {
+	err := pg.WriteFileAtomic(filepath.Join(dir, TenantSnapshotFile(t.name)), func(w io.Writer) error {
+		return pg.WriteSnapshot(w, t.g.Snapshot())
+	})
+	if err != nil {
 		return fmt.Errorf("persisting tenant snapshot: %w", err)
 	}
 	t.persisted.Store(true)
@@ -518,49 +526,4 @@ func (r *Registry) tryEvict(t *tenant) bool {
 	t.bytes.Store(0)
 	r.evictions.Add(1)
 	return true
-}
-
-// atomicWriteFile writes data to path via a temp file + rename in the
-// same directory, so a crash mid-write never leaves a torn file.
-func atomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tenant-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// writeSnapshotFile persists the graph's snapshot to path atomically.
-func writeSnapshotFile(g *pg.Graph, path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".graph-*.pgsnap")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := pg.WriteSnapshot(tmp, g.Snapshot()); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }

@@ -18,9 +18,9 @@
 // {"data": …} or {"errors": [{"message": …}]}, wrapped in the v1
 // envelope. Queries run through compiled plans cached per query source
 // (each with an epoch-keyed binding to the tenant's graph); the
-// response reports the engine, plan-cache status, and plan cost, and an
-// "engine" request field ("auto"/"compiled"/"interpretive") keeps the
-// tree-walking executor reachable.
+// response reports the engine, plan-cache status, and plan cost. The v1
+// "engine" request field ("auto"/"compiled"/"interpretive") is still
+// accepted and selects nothing.
 //
 // The validation service turns the validate package into a callable
 // endpoint: POST /tenants/{name}/validate runs the rules of Definitions

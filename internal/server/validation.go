@@ -11,6 +11,9 @@ import (
 	"pgschema/internal/validate"
 )
 
+// engineFused is the engine every validation response reports.
+const engineFused = "fused"
+
 // maxRequestWorkers caps the per-request parallelism a client may ask
 // for, so one request cannot spawn an unbounded worker pool.
 const maxRequestWorkers = 64
@@ -64,7 +67,8 @@ type validateRequest struct {
 	Workers int `json:"workers"`
 	// ElementSharding splits element iteration across workers.
 	ElementSharding bool `json:"elementSharding"`
-	// Engine is "auto" (default), "fused", or "rule-by-rule".
+	// Engine is accepted for v1 compatibility and selects nothing: ""
+	// "auto", "fused" and "rule-by-rule" all run the fused engine.
 	Engine string `json:"engine"`
 	// SchedStats includes the run's scheduler telemetry (chunks, steals,
 	// per-worker busy time) in the response's sched field.
@@ -104,9 +108,8 @@ type validationResponse struct {
 	// or client disconnect); its violation list is partial.
 	Incomplete  bool `json:"incomplete"`
 	Incremental bool `json:"incremental"`
-	// Engine is the evaluation strategy that actually produced the
-	// result — "fused" or "rule-by-rule" — as reported by the run
-	// itself, incremental or not.
+	// Engine names the evaluation strategy that produced the result:
+	// always "fused", incremental or not.
 	Engine string `json:"engine"`
 	// Workers is the resolved worker count the run used after clamping
 	// and autotuning — 1 means sequential. Incremental runs resolve it
@@ -228,12 +231,7 @@ func (req *validateRequest) options() (validate.Options, string) {
 		opts.Workers = maxRequestWorkers
 	}
 	switch req.Engine {
-	case "", "auto":
-		opts.Engine = validate.EngineAuto
-	case "fused":
-		opts.Engine = validate.EngineFused
-	case "rule-by-rule":
-		opts.Engine = validate.EngineRuleByRule
+	case "", "auto", engineFused, "rule-by-rule":
 	default:
 		return opts, fmt.Sprintf("unknown engine %q (want \"auto\", \"fused\", or \"rule-by-rule\")", req.Engine)
 	}
@@ -352,8 +350,8 @@ func (h *Handler) serveRevalidate(t *tenant, w http.ResponseWriter, r *http.Requ
 }
 
 // validationResponse renders a validate.Result as the wire shape. The
-// engine and worker fields come from the result itself — the strategy
-// that actually ran, not the one the request asked for. Called with the
+// worker count comes from the result itself — what the run actually
+// used, not what the request asked for. Called with the
 // tenant's graph lock held (either side) and the graph resident.
 func (t *tenant) validationResponse(res *validate.Result, mode string, elapsed time.Duration, incremental bool) validationResponse {
 	if mode == "" {
@@ -369,7 +367,7 @@ func (t *tenant) validationResponse(res *validate.Result, mode string, elapsed t
 		Truncated:   res.Truncated,
 		Incomplete:  res.Incomplete,
 		Incremental: incremental,
-		Engine:      res.Engine.String(),
+		Engine:      engineFused,
 		Workers:     res.Workers,
 		Compiled:    true,
 		CompileMS:   float64(t.prog.Stats().CompileTime) / float64(time.Millisecond),

@@ -121,10 +121,11 @@ func TestValidateEndpointFindsViolations(t *testing.T) {
 	}
 }
 
-// TestValidateEndpointEngineSelection pins the engine field: requests
-// select the evaluation strategy and the response names the one that
-// actually ran — including on /revalidate, whose delta-scoped run
-// resolves EngineAuto to the fused dirty-region passes.
+// TestValidateEndpointEngineSelection pins the v1 engine field: every
+// accepted value — including the retired "rule-by-rule" — runs the
+// fused engine and the response says so, as does /revalidate, whose
+// delta-scoped run uses the fused dirty-region passes. Unknown values
+// stay a 400.
 func TestValidateEndpointEngineSelection(t *testing.T) {
 	h := newTestHandler(t)
 	mux := h.Mux()
@@ -132,7 +133,7 @@ func TestValidateEndpointEngineSelection(t *testing.T) {
 		``:                           "fused", // auto resolves to fused
 		`{"engine": "auto"}`:         "fused",
 		`{"engine": "fused"}`:        "fused",
-		`{"engine": "rule-by-rule"}`: "rule-by-rule",
+		`{"engine": "rule-by-rule"}`: "fused",
 	} {
 		rec, out := postJSON(t, mux, "/validate", body)
 		if rec.Code != http.StatusOK {

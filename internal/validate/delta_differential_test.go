@@ -2,8 +2,9 @@ package validate_test
 
 // Differential harness for incremental revalidation: randomized delta
 // sequences driven through the transactional pg.Apply API, with
-// Revalidate's spliced output required to match a from-scratch full
-// validation byte-for-byte under every mode and engine configuration —
+// Revalidate's spliced output required to match a from-scratch run of
+// the rule-by-rule oracle byte-for-byte under every mode and worker
+// configuration —
 // including Undo round-trips, whose Touched set doubles as the delta.
 
 import (
@@ -20,18 +21,16 @@ import (
 	"pgschema/internal/values"
 )
 
-// revalConfigs is the engine matrix the incremental path is checked
-// across. Program-backed configs exercise the cross-epoch rebind cache.
+// revalConfigs is the configuration matrix the incremental path is
+// checked across. Program-backed configs exercise the cross-epoch rebind cache.
 var revalConfigs = []struct {
 	name     string
 	compiled bool
 	set      func(*validate.Options)
 }{
-	{"seq/fused", false, func(o *validate.Options) { o.Engine = validate.EngineFused }},
-	{"par4/fused", false, func(o *validate.Options) { o.Engine = validate.EngineFused; o.Workers = 4 }},
-	{"seq/rule-by-rule", false, func(o *validate.Options) { o.Engine = validate.EngineRuleByRule }},
-	{"par4/rule-by-rule", false, func(o *validate.Options) { o.Engine = validate.EngineRuleByRule; o.Workers = 4 }},
-	{"seq/fused+program", true, func(o *validate.Options) { o.Engine = validate.EngineFused }},
+	{"seq/fused", false, func(o *validate.Options) {}},
+	{"par4/fused", false, func(o *validate.Options) { o.Workers = 4 }},
+	{"seq/fused+program", true, func(o *validate.Options) {}},
 }
 
 // randomGraphDelta builds a batch of mutations that Apply accepts:
@@ -127,9 +126,9 @@ func randomGraphDelta(g *pg.Graph, rnd *rand.Rand) pg.Delta {
 
 // TestDifferentialRevalidateDeltas is the incremental counterpart of
 // the engine-equivalence matrix: 20 seeds × 3 modes × the revalidation
-// engine configs, each chaining 8 random Apply steps (with periodic
-// Undo round-trips) where every Revalidate must equal a full
-// from-scratch validation byte-for-byte, and the next step's prev is
+// configs, each chaining 8 random Apply steps (with periodic Undo
+// round-trips) where every Revalidate must equal a from-scratch run of
+// the rule-by-rule oracle byte-for-byte, and the next step's prev is
 // the spliced result itself — so a single splice error would compound
 // and surface.
 func TestDifferentialRevalidateDeltas(t *testing.T) {
@@ -167,7 +166,7 @@ func TestDifferentialRevalidateDeltas(t *testing.T) {
 
 			check := func(step string, delta validate.Delta) {
 				for mi := range diffModes {
-					full := validate.ValidateContext(ctx, s, g, validate.Options{Mode: diffModes[mi].mode})
+					full := validate.ValidateOracle(s, g, validate.Options{Mode: diffModes[mi].mode})
 					want := renderViolations(full)
 					for ci := range revalConfigs {
 						opts := optsFor(mi, ci)
@@ -265,8 +264,8 @@ func TestCancelledContext(t *testing.T) {
 
 // TestCancelMidRunNoGoroutineLeak cancels a parallel run while workers
 // are live and then requires the process goroutine count to return to
-// its baseline — the feeder must not block on the task channel and
-// workers must exit at the next claim boundary.
+// its baseline — workers must exit at the next chunk-claim boundary,
+// with whole passes or with range chunks.
 func TestCancelMidRunNoGoroutineLeak(t *testing.T) {
 	s := buildDiff(t, diffSchema)
 	g, err := gen.Conformant(s, gen.Config{Seed: 5, NodesPerType: 2000})
@@ -274,11 +273,11 @@ func TestCancelMidRunNoGoroutineLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
-	for _, engine := range []validate.Engine{validate.EngineFused, validate.EngineRuleByRule} {
+	for _, sharding := range []bool{false, true} {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan *validate.Result, 1)
 		go func() {
-			done <- validate.ValidateContext(ctx, s, g, validate.Options{Engine: engine, Workers: 8})
+			done <- validate.ValidateContext(ctx, s, g, validate.Options{Workers: 8, ElementSharding: sharding})
 		}()
 		time.Sleep(500 * time.Microsecond)
 		cancel()
@@ -288,7 +287,7 @@ func TestCancelMidRunNoGoroutineLeak(t *testing.T) {
 			// the race and finished first is complete — both are valid.
 			_ = res
 		case <-time.After(30 * time.Second):
-			t.Fatalf("engine %s: cancelled run did not return", engine)
+			t.Fatalf("sharding=%v: cancelled run did not return", sharding)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -1,11 +1,12 @@
 package validate_test
 
-// The differential harness proves the engine-equivalence claim the
-// fused engine rests on: for a matrix of generated schemas, conformant
-// graphs, and per-rule injected faults, every engine configuration —
-// rule-by-rule and fused, sequential and parallel, sharded and not, and
-// the naive pair-scan ablation — must emit the byte-identical
-// canonically-sorted violation set under all three satisfaction modes.
+// The differential harness proves the equivalence claim the fused
+// engine rests on: for a matrix of generated schemas, conformant graphs,
+// and per-rule injected faults, every fused configuration — sequential
+// and parallel, sharded and not, compiled once or per run — must emit
+// the byte-identical canonically-sorted violation set as the sequential
+// rule-by-rule oracle and its naive pair-scan variant, under all three
+// satisfaction modes.
 
 import (
 	"fmt"
@@ -41,29 +42,40 @@ type Publisher {
 	published: [Book] @uniqueForTarget @requiredForTarget
 }`
 
-// engineConfigs is the configuration matrix every run is checked
-// across. The first entry is the baseline the others must match.
-// Configs with compiled set receive a Program compiled once per
-// assertEngineEquivalence call and shared across modes, exercising the
-// cross-run binding cache as well as the compiled passes.
-var engineConfigs = []struct {
+// engineConfig is one row of the matrix every run is checked across:
+// the fused engine under set's options, or — when oracle is non-nil —
+// one of the rule-by-rule oracles. Configs with compiled set receive a
+// Program compiled once per assertEngineEquivalence call and shared
+// across modes, exercising the cross-run binding cache as well as the
+// compiled passes.
+type engineConfig struct {
 	name     string
 	compiled bool
 	set      func(*validate.Options)
-}{
-	{"seq/rule-by-rule", false, func(o *validate.Options) { o.Engine = validate.EngineRuleByRule }},
-	{"seq/fused", false, func(o *validate.Options) { o.Engine = validate.EngineFused }},
-	{"par4/rule-by-rule", false, func(o *validate.Options) { o.Engine = validate.EngineRuleByRule; o.Workers = 4 }},
-	{"par4/fused", false, func(o *validate.Options) { o.Engine = validate.EngineFused; o.Workers = 4 }},
-	{"par4+sharding/fused", false, func(o *validate.Options) {
-		o.Engine = validate.EngineFused
+	oracle   func(*schema.Schema, *pg.Graph, validate.Options) *validate.Result
+}
+
+// validate runs the configuration on g under opts (set already applied).
+func (c engineConfig) validate(s *schema.Schema, g *pg.Graph, opts validate.Options) *validate.Result {
+	if c.oracle != nil {
+		return c.oracle(s, g, opts)
+	}
+	return validate.Validate(s, g, opts)
+}
+
+// engineConfigs is the configuration matrix. The first entry, the
+// sequential rule-by-rule oracle, is the baseline the others must match.
+var engineConfigs = []engineConfig{
+	{name: "oracle/rule-by-rule", set: func(o *validate.Options) {}, oracle: validate.ValidateOracle},
+	{name: "seq/fused", set: func(o *validate.Options) {}},
+	{name: "par4/fused", set: func(o *validate.Options) { o.Workers = 4 }},
+	{name: "par4+sharding/fused", set: func(o *validate.Options) {
 		o.Workers = 4
 		o.ElementSharding = true
 	}},
-	{"seq/naive-pair-scan", false, func(o *validate.Options) { o.Engine = validate.EngineRuleByRule; o.NaivePairScan = true }},
-	{"seq/fused+program", true, func(o *validate.Options) { o.Engine = validate.EngineFused }},
-	{"par4+sharding/fused+program", true, func(o *validate.Options) {
-		o.Engine = validate.EngineFused
+	{name: "oracle/naive-pair-scan", set: func(o *validate.Options) {}, oracle: validate.ValidateNaiveOracle},
+	{name: "seq/fused+program", compiled: true, set: func(o *validate.Options) {}},
+	{name: "par4+sharding/fused+program", compiled: true, set: func(o *validate.Options) {
 		o.Workers = 4
 		o.ElementSharding = true
 	}},
@@ -90,9 +102,9 @@ func renderViolations(res *validate.Result) string {
 	return b.String()
 }
 
-// assertEngineEquivalence validates the graph under every engine
-// configuration and mode, and fails on the first divergence from the
-// sequential rule-by-rule baseline.
+// assertEngineEquivalence validates the graph under every configuration
+// and mode, and fails on the first divergence from the rule-by-rule
+// oracle.
 func assertEngineEquivalence(t *testing.T, s *schema.Schema, g *pg.Graph, label string) {
 	t.Helper()
 	prog := validate.Compile(s)
@@ -104,7 +116,7 @@ func assertEngineEquivalence(t *testing.T, s *schema.Schema, g *pg.Graph, label 
 			if cfg.compiled {
 				opts.Program = prog
 			}
-			got := renderViolations(validate.Validate(s, g, opts))
+			got := renderViolations(cfg.validate(s, g, opts))
 			if i == 0 {
 				baseline = got
 				continue
@@ -117,7 +129,7 @@ func assertEngineEquivalence(t *testing.T, s *schema.Schema, g *pg.Graph, label 
 	}
 }
 
-func buildDiff(t *testing.T, src string) *schema.Schema {
+func buildDiff(t testing.TB, src string) *schema.Schema {
 	t.Helper()
 	doc, err := parser.Parse(src)
 	if err != nil {

@@ -10,10 +10,9 @@ import (
 )
 
 // pairScanGraph builds a graph with several WS4 and DS3 violations whose
-// witnessing edges are spread across edge ids, so that — before the
-// shard-by-dedup-key fix — ElementSharding put different first edges of
-// one (source, field) pair into different shards and each shard emitted
-// the violation again.
+// witnessing edges are spread across edge ids, so a pair scan or a
+// sharded pass that deduplicated by edge instead of by (source, field)
+// or target would report a violation more than once.
 func pairScanGraph() *pg.Graph {
 	g := pg.New()
 	var books []pg.NodeID
@@ -54,35 +53,34 @@ func pairScanGraph() *pg.Graph {
 	return g
 }
 
-// TestNaivePairScanSharding is the regression test for the duplicate
-// violations the naive scans emitted under ElementSharding: the naive
-// engine at Workers: 4 must produce exactly the sequential naive result,
-// which in turn must match the indexed engine per rule.
+// TestNaivePairScanSharding checks the naive pair-scan oracle against
+// the indexed oracle and the element-sharded fused engine on a graph
+// whose WS4 and DS3 witnesses are spread across edge ids: all three
+// must report each over-full field or target exactly once.
 func TestNaivePairScanSharding(t *testing.T) {
 	s := build(t, bookSchema)
 	g := pairScanGraph()
 
-	naiveSeq := Validate(s, g, Options{NaivePairScan: true})
-	naivePar := Validate(s, g, Options{NaivePairScan: true, Workers: 4, ElementSharding: true})
-	if len(naivePar.Violations) != len(naiveSeq.Violations) {
-		t.Fatalf("naive sharded: %d violations, naive sequential: %d\nsharded: %v\nsequential: %v",
-			len(naivePar.Violations), len(naiveSeq.Violations), naivePar.Violations, naiveSeq.Violations)
-	}
-	for i := range naiveSeq.Violations {
-		if naivePar.Violations[i] != naiveSeq.Violations[i] {
-			t.Errorf("violation %d differs:\nsharded:    %v\nsequential: %v",
-				i, naivePar.Violations[i], naiveSeq.Violations[i])
+	naive := ValidateNaiveOracle(s, g, Options{})
+	for _, other := range []struct {
+		name string
+		res  *Result
+	}{
+		{"indexed oracle", ValidateOracle(s, g, Options{})},
+		{"sharded fused", Validate(s, g, Options{Workers: 4, ElementSharding: true})},
+	} {
+		if len(other.res.Violations) != len(naive.Violations) {
+			t.Fatalf("%s: %d violations, naive: %d\n%s: %v\nnaive: %v", other.name,
+				len(other.res.Violations), len(naive.Violations), other.name, other.res.Violations, naive.Violations)
+		}
+		for i := range naive.Violations {
+			if other.res.Violations[i] != naive.Violations[i] {
+				t.Errorf("%s: violation %d differs:\n%s: %v\nnaive: %v",
+					other.name, i, other.name, other.res.Violations[i], naive.Violations[i])
+			}
 		}
 	}
-
-	indexed := Validate(s, g, Options{Workers: 4, ElementSharding: true})
-	ni, nn := indexed.ByRule(), naivePar.ByRule()
-	for _, rule := range []Rule{WS4, DS1, DS3} {
-		if len(ni[rule]) != len(nn[rule]) {
-			t.Errorf("rule %s: indexed %d vs naive sharded %d\nindexed: %v\nnaive: %v",
-				rule, len(ni[rule]), len(nn[rule]), ni[rule], nn[rule])
-		}
-	}
+	nn := naive.ByRule()
 	if len(nn[WS4]) != 4 {
 		t.Errorf("expected one WS4 violation per author, got %d: %v", len(nn[WS4]), nn[WS4])
 	}
@@ -91,9 +89,9 @@ func TestNaivePairScanSharding(t *testing.T) {
 	}
 }
 
-// TestParallelRuleTimings covers the CollectTimings extension to the
-// parallel engine: every requested rule gets a RuleTime entry whether the
-// tasks are whole rules or (rule, shard) pairs.
+// TestParallelRuleTimings covers CollectTimings on parallel runs: every
+// requested rule gets a RuleTime entry whether the tasks are whole
+// passes or range chunks.
 func TestParallelRuleTimings(t *testing.T) {
 	s := build(t, bookSchema)
 	g := pairScanGraph()

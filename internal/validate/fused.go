@@ -19,8 +19,9 @@ import (
 // independently per graph element makes the fusion sound: the rules
 // never exchange information, so interleaving them per element yields
 // the same violation set as running them rule by rule. The differential
-// test harness (differential_test.go) proves the equivalence across
-// engines, worker counts, sharding, modes, and compiled programs.
+// test harness (differential_test.go) proves the equivalence against
+// the rule-by-rule oracle in this package's test files, across worker
+// counts, sharding, modes, and compiled programs.
 //
 // The passes run against a compiled Program bound to the graph
 // (program.go) and scan the graph's columnar snapshot (pg.Snapshot):
@@ -231,7 +232,7 @@ func (sc *fusedScratch) resize(symCount int) {
 
 // fusedNodePass evaluates WS1, WS4, DS1, DS2, DS3, DS5, DS6, SS1, and
 // SS2 for every live node in [lo, hi), emitting exactly the violations
-// the rule-by-rule sweeps would. All reads go through the binding's
+// the rule-by-rule oracle would. All reads go through the binding's
 // columnar snapshot. A nil list means the dense ID range [lo, hi);
 // otherwise the pass visits list[lo:hi] — the shape incremental
 // revalidation chunks its dirty-node set into.
@@ -1042,7 +1043,7 @@ func (t fusedChunk) run(r *runner, sc *fusedScratch, emit emitFunc) {
 	case taskDS7Range:
 		r.ds7Range(emit, t.lo, t.hi)
 	default:
-		r.ds7(emit, 0, 1)
+		r.ds7(emit)
 	}
 }
 
@@ -1130,10 +1131,10 @@ func appendRangeChunks(chunks []fusedChunk, kind fusedTaskKind, decl, bound, spa
 }
 
 // planFusedChunks plans the work units for the requested rules. Without
-// ElementSharding each pass is one whole chunk (coarse tasks, as the
-// non-sharded parallel engine always ran); with it the node and edge
-// passes and every DS4 declaration split into many range chunks for the
-// stealing cursor. DS7 buckets globally and stays whole either way.
+// ElementSharding each pass is one whole chunk (coarse tasks); with it
+// the node and edge passes and every DS4 declaration split into many
+// range chunks for the stealing cursor, and DS7 chunks its key-conflict
+// groups.
 func (r *runner) planFusedChunks(w fusedWant, sharded bool, workers int, chunks []fusedChunk) []fusedChunk {
 	b := r.bind
 	nodePass := len(w.active(nodePassRules)) > 0
@@ -1279,9 +1280,8 @@ func (r *runner) runChunks(chunks []fusedChunk, rules []Rule, c *collector) (map
 
 	if r.opts.Workers <= 1 {
 		// Sequential: emit straight into the collector and keep scanning
-		// passes after the cap fills until an emit is rejected — the same
-		// exact-Truncated contract as the sequential rule-by-rule engine,
-		// at pass rather than rule granularity.
+		// passes after the cap fills until an emit is rejected, so a
+		// sequential Truncated is exact (at pass granularity).
 		sc := p.getScratch(r.bind.symCount)
 		var st *sched.Stats
 		if r.opts.SchedStats {

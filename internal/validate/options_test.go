@@ -6,9 +6,9 @@ import (
 )
 
 // TestEffectiveWorkers pins the Workers resolution contract: explicit
-// values are clamped, zero means "autotune under EngineAuto on big
-// graphs, sequential otherwise", and the result never exceeds the
-// element count or 8×GOMAXPROCS.
+// values are clamped, zero means "autotune on big graphs, sequential
+// otherwise", and the result never exceeds the element count or
+// 8×GOMAXPROCS.
 func TestEffectiveWorkers(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	hard := 8 * procs
@@ -25,8 +25,7 @@ func TestEffectiveWorkers(t *testing.T) {
 		{"explicit value capped at 8x GOMAXPROCS", Options{Workers: 10 * hard}, 10_000_000, hard},
 		{"never more workers than elements", Options{Workers: 64}, 3, 3},
 		{"zero elements skips the element cap", Options{Workers: 4}, 0, 4},
-		{"explicit engine disables autotune", Options{Engine: EngineFused}, autotuneElements, 1},
-		{"naive pair scan disables autotune", Options{NaivePairScan: true}, autotuneElements, 1},
+		{"negative disables autotune", Options{Workers: -1}, autotuneElements, 1},
 	}
 	for _, tc := range cases {
 		if got := tc.opts.EffectiveWorkers(tc.elements); got != tc.want {

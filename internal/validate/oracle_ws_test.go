@@ -10,11 +10,8 @@ import (
 // ws1 — WS1 (node properties must be of the required type): for all
 // (v, f) ∈ dom(σ) with v ∈ V, f ∈ fieldsS(λ(v)), and
 // t = typeF(λ(v), f) ∈ S ∪ WS, it must hold that σ(v, f) ∈ valuesW(t).
-func (r *runner) ws1(emit emitFunc, shard, nShards int) {
-	for _, v := range r.nodes() {
-		if !nodeShard(v, shard, nShards) {
-			continue
-		}
+func (r *oracle) ws1(emit emitFunc) {
+	for _, v := range r.g.Nodes() {
 		label := r.g.NodeLabel(v)
 		td := r.s.Type(label)
 		if td == nil {
@@ -41,11 +38,8 @@ func (r *runner) ws1(emit emitFunc, shard, nShards int) {
 // ws2 — WS2 (edge properties must be of the required type): for all
 // (e, a) ∈ dom(σ) with e ∈ E, ρ(e) = (v1, v2), f = (λ(v1), λ(e)), and
 // a ∈ argsS(f), it must hold that σ(e, a) ∈ valuesW(typeAF(f, a)).
-func (r *runner) ws2(emit emitFunc, shard, nShards int) {
-	for _, e := range r.edges() {
-		if !edgeShard(e, shard, nShards) {
-			continue
-		}
+func (r *oracle) ws2(emit emitFunc) {
+	for _, e := range r.g.Edges() {
 		src, _ := r.g.Endpoints(e)
 		fd := r.s.Field(r.g.NodeLabel(src), r.g.EdgeLabel(e))
 		if fd == nil {
@@ -72,11 +66,8 @@ func (r *runner) ws2(emit emitFunc, shard, nShards int) {
 // ws3 — WS3 (target nodes must be of the required type): for every e ∈ E
 // with ρ(e) = (v1, v2) and f = (λ(v1), λ(e)) ∈ dom(typeF), it must hold
 // that λ(v2) ⊑S basetype(typeF(f)).
-func (r *runner) ws3(emit emitFunc, shard, nShards int) {
-	for _, e := range r.edges() {
-		if !edgeShard(e, shard, nShards) {
-			continue
-		}
+func (r *oracle) ws3(emit emitFunc) {
+	for _, e := range r.g.Edges() {
 		src, dst := r.g.Endpoints(e)
 		srcLabel := r.g.NodeLabel(src)
 		fd := r.s.Field(srcLabel, r.g.EdgeLabel(e))
@@ -98,15 +89,12 @@ func (r *runner) ws3(emit emitFunc, shard, nShards int) {
 // ws4 — WS4 (non-list fields contain at most one edge): for all edges
 // e1 ≠ e2 with the same source and label f where typeF(λ(v1), f) is not a
 // list type (nor a non-null-wrapped list type), the graph is invalid.
-func (r *runner) ws4(emit emitFunc, shard, nShards int) {
-	if r.opts.NaivePairScan {
-		r.ws4Naive(emit, shard, nShards)
+func (r *oracle) ws4(emit emitFunc) {
+	if r.naive {
+		r.ws4Naive(emit)
 		return
 	}
-	for _, v := range r.nodes() {
-		if !nodeShard(v, shard, nShards) {
-			continue
-		}
+	for _, v := range r.g.Nodes() {
 		label := r.g.NodeLabel(v)
 		td := r.s.Type(label)
 		if td == nil {
@@ -135,19 +123,13 @@ func (r *runner) ws4(emit emitFunc, shard, nShards int) {
 }
 
 // ws4Naive is the textbook pair scan over E × E from Definition 5.1, kept
-// for the index ablation benchmark. Sharding goes by the source node —
-// the key the dedup map uses — so that all pairs with a common source
-// land in one shard; sharding by edge id would let two shards holding
-// different e1 edges with the same (source, field) each emit the
-// violation once.
-func (r *runner) ws4Naive(emit emitFunc, shard, nShards int) {
-	edges := r.edges()
+// for the index ablation benchmark. It dedups by (source, field), so
+// each over-full field is reported once, as the indexed ws4 does.
+func (r *oracle) ws4Naive(emit emitFunc) {
+	edges := r.g.Edges()
 	reported := make(map[pg.NodeID]map[string]bool)
 	for i, e1 := range edges {
 		s1, _ := r.g.Endpoints(e1)
-		if !nodeShard(s1, shard, nShards) {
-			continue
-		}
 		f := r.g.EdgeLabel(e1)
 		if reported[s1][f] {
 			continue
@@ -188,7 +170,7 @@ func (r *runner) ws4Naive(emit emitFunc, shard, nShards int) {
 // relationshipDeclarations yields every (t, f) ∈ dom(typeF) whose field is
 // a relationship definition, across object and interface types — the
 // declarations DS1–DS4 and DS6 quantify over.
-func (r *runner) relationshipDeclarations() []*schema.FieldDef {
+func (r *oracle) relationshipDeclarations() []*schema.FieldDef {
 	var out []*schema.FieldDef
 	for _, td := range r.s.Types() {
 		if td.Kind != schema.Object && td.Kind != schema.Interface {
@@ -205,7 +187,7 @@ func (r *runner) relationshipDeclarations() []*schema.FieldDef {
 
 // attributeDeclarations yields every (t, f) whose field is an attribute
 // definition (DS5 quantifies over these).
-func (r *runner) attributeDeclarations() []*schema.FieldDef {
+func (r *oracle) attributeDeclarations() []*schema.FieldDef {
 	var out []*schema.FieldDef
 	for _, td := range r.s.Types() {
 		if td.Kind != schema.Object && td.Kind != schema.Interface {
@@ -214,29 +196,6 @@ func (r *runner) attributeDeclarations() []*schema.FieldDef {
 		for _, f := range td.Fields {
 			if r.s.IsAttribute(f) {
 				out = append(out, f)
-			}
-		}
-	}
-	return out
-}
-
-// nodesOfType yields the nodes v with λ(v) ⊑S t for a named type t,
-// using the label index (object type: one label; interface/union: the
-// implementing/member labels).
-func (r *runner) nodesOfType(named string) []pg.NodeID {
-	if r.bind != nil && r.onlyNodes == nil && r.onlyTypes == nil {
-		// The bound program's enumeration covers the unrestricted case;
-		// callers must not mutate the shared slice. Restricted sweeps
-		// (incremental revalidation) skip it so they never force the
-		// lazy O(V) enumeration build for a delta-sized region.
-		r.bind.ensureNodes()
-		return r.bind.nodesOf[named]
-	}
-	var out []pg.NodeID
-	for _, label := range r.s.ConcreteTargets(named) {
-		for _, id := range r.g.NodesLabeled(label) {
-			if r.onlyNodes == nil || r.onlyNodes[id] {
-				out = append(out, id)
 			}
 		}
 	}

@@ -200,7 +200,7 @@ func CompileContext(ctx context.Context, s *schema.Schema) (*Program, error) {
 
 	// Directive-bearing declarations, bucketed per applicable label in
 	// declaration order (types sorted by name, fields in source order) —
-	// the same order the rule-by-rule sweeps quantify in, so duplicate
+	// the same order the rule-by-rule oracle quantifies in, so duplicate
 	// declarations (object type + interface) keep their multiplicity.
 	for _, td := range s.Types() {
 		if td.Kind != schema.Object && td.Kind != schema.Interface {

@@ -91,10 +91,8 @@ func TestScaleSmokeParallel(t *testing.T) {
 		t.Fatalf("smoke graph too small: %d elements, want ≥ 100000", elements)
 	}
 
-	seq := validate.Validate(s, base, validate.Options{Engine: validate.EngineFused, Workers: -1})
-	par := validate.Validate(s, base, validate.Options{
-		Engine: validate.EngineFused, Workers: 4, ElementSharding: true,
-	})
+	seq := validate.Validate(s, base, validate.Options{Workers: -1})
+	par := validate.Validate(s, base, validate.Options{Workers: 4, ElementSharding: true})
 	if a, b := renderViolations(seq), renderViolations(par); a != b {
 		t.Errorf("sequential and work-stealing parallel results diverge:\n--- seq ---\n%s--- par ---\n%s", a, b)
 	}
@@ -102,7 +100,7 @@ func TestScaleSmokeParallel(t *testing.T) {
 		t.Errorf("conformant smoke graph reported violations: %v", seq.Violations[:min(3, len(seq.Violations))])
 	}
 
-	// EngineAuto with Workers 0 must autotune on a graph this size and
+	// Workers 0 must autotune on a graph this size and
 	// still produce the identical (empty) violation set.
 	auto := validate.Validate(s, base, validate.Options{})
 	if !auto.OK() {

@@ -4,10 +4,10 @@ package validate_test
 // .pgsnap format rests on: validating a graph served from a memory-
 // mapped snapshot file emits the byte-identical canonically-sorted
 // violation set as validating the heap-resident original — across
-// engines, worker counts, and satisfaction modes. The fused/compiled
-// configurations bind straight to the mapped columns (the cold path);
-// the rule-by-rule configurations force store inflation; both routes
-// must agree with the heap baseline.
+// worker counts, satisfaction modes and the rule-by-rule oracles. The
+// fused configurations bind straight to the mapped columns (the cold
+// path); the oracles read the row store and so force store inflation;
+// both routes must agree with the heap baseline.
 
 import (
 	"fmt"
@@ -59,9 +59,9 @@ func assertMappedEquivalence(t *testing.T, src string, g *pg.Graph, label string
 			if cfg.compiled {
 				opts.Program = prog
 			}
-			want := renderViolations(validate.Validate(s, g, opts))
+			want := renderViolations(cfg.validate(s, g, opts))
 			mg := mapGraph(t, g)
-			got := renderViolations(validate.Validate(s, mg, opts))
+			got := renderViolations(cfg.validate(s, mg, opts))
 			if got != want {
 				t.Errorf("%s: mode %s, engine %s: mapped snapshot diverges from heap:\n--- heap ---\n%s--- mapped ---\n%s",
 					label, m.name, cfg.name, want, got)

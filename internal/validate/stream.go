@@ -22,8 +22,8 @@ import (
 // compiled concurrently with the load) binds to them directly.
 //
 // The result is identical — byte-for-byte over rendered violations —
-// to pg.ReadCSV followed by Validate with the same options. On a load
-// error the graph and result are nil.
+// to pg.ReadCSVStream followed by Validate with the same options. On a
+// load error the graph and result are nil.
 func ValidateStream(ctx context.Context, s *schema.Schema, nodes, edges io.Reader, opts Options) (*Result, *pg.Graph, error) {
 	// Compile while the load streams; for a typical schema this hides
 	// the whole compile behind the first few MB of CSV.

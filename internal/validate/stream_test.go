@@ -3,8 +3,10 @@ package validate_test
 // Differential coverage for validate-on-ingest: for randomized schemas,
 // graphs, and injected faults, streaming a graph out of CSV and
 // validating it in the same materialization must emit the byte-identical
-// violation set as the two-phase ReadCSV-then-Validate path, under every
-// mode and representative engine configurations.
+// violation set as loading it with pg.ReadCSVStream and validating it
+// afterwards, under every mode and representative engine configurations.
+// (internal/pg's own differential proves the streaming loader matches
+// the two-phase loader it replaced.)
 
 import (
 	"bytes"
@@ -30,8 +32,8 @@ func graphCSV(t *testing.T, g *pg.Graph) (nodes, edges string) {
 }
 
 // assertStreamEquivalence checks that ValidateStream over the CSV form
-// of g matches ReadCSV-then-Validate byte-for-byte across modes and
-// engine shapes.
+// of g matches load-then-validate byte-for-byte across modes and engine
+// shapes.
 func assertStreamEquivalence(t *testing.T, s *schema.Schema, g *pg.Graph, label string) {
 	t.Helper()
 	nodes, edges := graphCSV(t, g)
@@ -50,22 +52,22 @@ func assertStreamEquivalence(t *testing.T, s *schema.Schema, g *pg.Graph, label 
 			opts := validate.Options{Mode: m.mode}
 			cfg.set(&opts)
 
-			twoPhase, err := pg.ReadCSV(strings.NewReader(nodes), strings.NewReader(edges))
+			loaded, err := pg.ReadCSVStream(strings.NewReader(nodes), strings.NewReader(edges))
 			if err != nil {
-				t.Fatalf("%s: ReadCSV: %v", label, err)
+				t.Fatalf("%s: ReadCSVStream: %v", label, err)
 			}
-			want := renderViolations(validate.Validate(s, twoPhase, opts))
+			want := renderViolations(validate.ValidateContext(context.Background(), s, loaded, opts))
 
 			res, sg, err := validate.ValidateStream(context.Background(), s,
 				strings.NewReader(nodes), strings.NewReader(edges), opts)
 			if err != nil {
 				t.Fatalf("%s: ValidateStream: %v", label, err)
 			}
-			if sg == nil || sg.NumNodes() != twoPhase.NumNodes() || sg.NumEdges() != twoPhase.NumEdges() {
+			if sg == nil || sg.NumNodes() != loaded.NumNodes() || sg.NumEdges() != loaded.NumEdges() {
 				t.Fatalf("%s: streamed graph shape differs", label)
 			}
 			if got := renderViolations(res); got != want {
-				t.Errorf("%s: mode %s, cfg %s: streamed violations diverge:\n--- two-phase ---\n%s--- streamed ---\n%s",
+				t.Errorf("%s: mode %s, cfg %s: validate-on-ingest violations diverge:\n--- load, then validate ---\n%s--- on ingest ---\n%s",
 					label, m.name, cfg.name, want, got)
 			}
 		}
@@ -74,7 +76,8 @@ func assertStreamEquivalence(t *testing.T, s *schema.Schema, g *pg.Graph, label 
 
 // TestDifferentialStreamIngest is the randomized streaming differential:
 // seeds × injected faults over the directive-complete schema, plus
-// random schemas, all asserting two-phase/streamed byte-identity.
+// random schemas, all asserting load-then-validate/on-ingest
+// byte-identity.
 func TestDifferentialStreamIngest(t *testing.T) {
 	s := buildDiff(t, diffSchema)
 	for seed := int64(0); seed < 6; seed++ {
@@ -120,7 +123,7 @@ func TestDifferentialStreamIngest(t *testing.T) {
 
 // TestStreamValidateSmoke is the make-check streaming smoke case: a
 // mid-size generated graph streamed from CSV and validated on ingest,
-// in one pass, with violations matching the two-phase result.
+// in one pass, with violations matching load-then-validate.
 func TestStreamValidateSmoke(t *testing.T) {
 	s := buildDiff(t, diffSchema)
 	base, err := gen.Conformant(s, gen.Config{Seed: 42, NodesPerType: 400})
@@ -145,13 +148,14 @@ func TestStreamValidateSmoke(t *testing.T) {
 		t.Fatal("injected fault not reported by streaming validation")
 	}
 
-	twoPhase, err := pg.ReadCSV(strings.NewReader(nodes), strings.NewReader(edges))
+	loaded, err := pg.ReadCSVStream(strings.NewReader(nodes), strings.NewReader(edges))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderViolations(validate.Validate(s, twoPhase, validate.Options{Workers: 4, ElementSharding: true}))
+	want := renderViolations(validate.ValidateContext(context.Background(), s, loaded,
+		validate.Options{Workers: 4, ElementSharding: true}))
 	if got := renderViolations(res); got != want {
-		t.Fatalf("streamed smoke violations diverge:\n--- two-phase ---\n%s--- streamed ---\n%s", want, got)
+		t.Fatalf("streamed smoke violations diverge:\n--- load, then validate ---\n%s--- on ingest ---\n%s", want, got)
 	}
 }
 

@@ -9,15 +9,18 @@
 //
 // Every rule is independently addressable; a validation run reports all
 // violations (or up to a configurable limit) with the graph elements and
-// schema elements involved. A parallel engine exploits the observation
-// behind Theorem 1 that all rules are constant-depth first-order
-// conditions evaluable independently per graph element.
+// schema elements involved. One engine evaluates them (fused.go): it
+// exploits the observation behind Theorem 1 that all rules are
+// constant-depth first-order conditions evaluable independently per
+// graph element, checking every rule in one pass over the nodes and one
+// over the edges, sequentially or on a work-stealing worker pool. The
+// definitional rule-by-rule evaluation lives in this package's test
+// files as the oracle the differential harnesses compare it against.
 //
-// Options.CollectTimings records per-rule wall-clock durations in both
-// engines. Under the parallel engine a rule's duration is the sum of the
-// time its tasks spent across workers (with ElementSharding, the sum over
-// all shards), so it measures CPU cost, not elapsed wall-clock time of
-// the run.
+// Options.CollectTimings records per-rule durations. A pass's time is
+// split evenly across the rules it evaluated, and parallel chunk times
+// are summed across workers, so a rule's duration measures CPU cost,
+// not elapsed wall-clock time of the run.
 package validate
 
 import (
@@ -116,31 +119,28 @@ type Result struct {
 	// Truncated reports that MaxViolations capped the run: at least one
 	// violation beyond the reported ones exists in the graph. The
 	// reported list is a canonically sorted subset — not a prefix — of
-	// the full violation set. The sequential engine computes Truncated
-	// exactly (it keeps scanning after the cap fills until it either
-	// sees one more violation or exhausts the rules). The parallel
-	// engine skips tasks not yet started once the cap is reached, so it
-	// may report Truncated == false even though further violations
-	// exist; Truncated == true is always trustworthy.
+	// the full violation set. A sequential run computes Truncated
+	// exactly (it keeps scanning passes after the cap fills until it
+	// either sees one more violation or exhausts the passes). A
+	// parallel run skips chunks not yet started once the cap is
+	// reached, so it may report Truncated == false even though further
+	// violations exist; Truncated == true is always trustworthy.
 	Truncated bool
 	// RuleTime holds per-rule durations when Options.CollectTimings was
-	// set. Sequentially this is wall-clock time per rule; under the
-	// parallel engine it is the summed task time per rule across
-	// workers and shards (see the package comment).
+	// set: each pass's time split across the rules it evaluated, summed
+	// across workers (see the package comment).
 	RuleTime map[Rule]time.Duration
 	// Incomplete marks a partial result: the run's context was cancelled
 	// before every element was checked. Violations found up to that
 	// point are reported, but absence of a violation proves nothing.
 	// An incomplete result must not seed Revalidate.
 	Incomplete bool
-	// Engine is the concrete engine that produced the result.
-	Engine Engine
 	// Workers is the resolved worker count the run used (after clamping
 	// and autotuning); 1 means sequential.
 	Workers int
 	// Sched holds the run's scheduler telemetry when Options.SchedStats
-	// was set and the fused engine ran (nil otherwise). Sequential runs
-	// report Workers == 1 stats with zero steals.
+	// was set (nil otherwise). Sequential runs report Workers == 1 stats
+	// with zero steals.
 	Sched *SchedStats
 }
 
@@ -156,37 +156,6 @@ func (r *Result) ByRule() map[Rule][]Violation {
 	return out
 }
 
-// Engine selects the evaluation strategy of a validation run.
-type Engine int
-
-// The engines.
-const (
-	// EngineAuto picks the fused engine, unless NaivePairScan demands
-	// the rule-by-rule engine (the naive pair scans are rule-by-rule
-	// implementations).
-	EngineAuto Engine = iota
-	// EngineRuleByRule runs one full node/edge sweep per rule — the
-	// definitional shape, kept for differential testing and ablation.
-	EngineRuleByRule
-	// EngineFused runs one pass over the nodes and one pass over the
-	// edges, evaluating every applicable rule per element against a
-	// per-run resolution cache. DS4 and DS7 keep dedicated passes that
-	// share the cache. The violation set is identical to
-	// EngineRuleByRule (proven by the differential harness).
-	EngineFused
-)
-
-// String names the engine as accepted by the server and CLI.
-func (e Engine) String() string {
-	switch e {
-	case EngineRuleByRule:
-		return "rule-by-rule"
-	case EngineFused:
-		return "fused"
-	}
-	return "auto"
-}
-
 // Options configures a validation run. The zero value checks strong
 // satisfaction sequentially with unlimited violations.
 type Options struct {
@@ -197,50 +166,42 @@ type Options struct {
 	// MaxViolations stops the run once this many violations have been
 	// collected; 0 means unlimited.
 	MaxViolations int
-	// Workers enables the parallel engine when > 1. 0 normally means
-	// sequential, but under EngineAuto a graph of at least
-	// autotuneElements elements autotunes to GOMAXPROCS workers. The
-	// value is clamped by EffectiveWorkers (floor 1, cap 8×GOMAXPROCS
-	// and the graph's element count); negative values mean sequential.
+	// Workers runs the engine on a worker pool when > 1. 0 normally
+	// means sequential, but a graph of at least autotuneElements
+	// elements autotunes to GOMAXPROCS workers. The value is clamped by
+	// EffectiveWorkers (floor 1, cap 8×GOMAXPROCS and the graph's
+	// element count); negative values mean sequential.
 	Workers int
-	// ElementSharding makes the parallel engine split node iteration
-	// across workers within a rule instead of running whole rules on
-	// separate workers.
+	// ElementSharding splits each pass of a parallel run into many
+	// range chunks claimed off a work-stealing cursor; without it each
+	// pass is one whole task. It stays a caller's choice because which
+	// plan wins depends on the traffic: on a 2-core host, always
+	// sharding parallel runs made served full validations ~12% faster
+	// at the median but slowed graph writes, schema swaps, set-up and
+	// scans by 11–20% and cut throughput by ~6%, so neither default
+	// is right for every workload.
 	ElementSharding bool
-	// CollectTimings records per-rule durations (sequential engine).
+	// CollectTimings records per-rule durations into Result.RuleTime
+	// (see the package comment for how they are attributed).
 	CollectTimings bool
 	// SchedStats records chunk-scheduler telemetry (per-chunk wall time,
 	// steal counts, per-worker busy fractions, chunk-size histogram)
-	// into Result.Sched. Fused engine only; the telemetry needed for
-	// adaptive chunking is collected by parallel runs regardless — this
-	// flag only controls whether it is surfaced on the Result.
+	// into Result.Sched. The telemetry needed for adaptive chunking is
+	// collected by parallel runs regardless — this flag only controls
+	// whether it is surfaced on the Result.
 	SchedStats bool
-	// NaivePairScan disables the adjacency-index implementations of
-	// WS4/DS1/DS3 in favour of the textbook O(|E|²) pair scans from the
-	// definitions. For the ablation benchmark only; it applies to the
-	// rule-by-rule engine and makes EngineAuto resolve to it.
-	NaivePairScan bool
-	// Engine selects the evaluation strategy; EngineAuto (the zero
-	// value) uses the fused engine.
-	Engine Engine
 	// Program supplies a validation program compiled from the schema by
 	// Compile, letting repeated runs over the same (schema, graph) pair
 	// skip recompilation and binding. Nil — or a program compiled from
 	// a different schema than the one passed to Validate — compiles on
-	// the fly, preserving the uncompiled behavior exactly. Only the
-	// fused engine consults it.
+	// the fly, preserving the uncompiled behavior exactly.
 	Program *Program
 }
 
-// ResolvedEngine reports the concrete engine the options select — what
-// resolveEngine picks when Engine is EngineAuto. Callers (server, CLI)
-// use it to report which engine produced a result.
-func (o Options) ResolvedEngine() Engine { return o.resolveEngine() }
-
 // autotuneElements is the graph size (nodes + edges, by ID bound) above
-// which EngineAuto turns parallelism on by itself. Below it the
+// which a Workers == 0 run turns parallelism on by itself. Below it the
 // scheduling overhead rivals the work and — more importantly — the
-// sequential engine's exact Truncated semantics are worth keeping for
+// sequential run's exact Truncated semantics are worth keeping for
 // interactive graph sizes.
 const autotuneElements = 100_000
 
@@ -248,9 +209,9 @@ const autotuneElements = 100_000
 // Validate call over a graph with the given element count (node bound +
 // edge bound) actually uses:
 //
-//   - Workers == 0 under EngineAuto on a graph of at least
-//     autotuneElements elements autotunes to GOMAXPROCS — million-element
-//     graphs parallelize without the caller having to know the machine;
+//   - Workers == 0 on a graph of at least autotuneElements elements
+//     autotunes to GOMAXPROCS — million-element graphs parallelize
+//     without the caller having to know the machine;
 //   - negative values and 0 otherwise mean sequential;
 //   - values above 8×GOMAXPROCS are clamped (the generous factor keeps
 //     deliberately oversubscribed test configurations exercising the
@@ -258,11 +219,11 @@ const autotuneElements = 100_000
 //   - the worker count never exceeds the element count (a worker with no
 //     possible elements is pure overhead).
 //
-// 1 means the sequential engine. Servers and CLIs report this value so
-// operators can see what an autotuned run actually did.
+// 1 means sequential. Servers and CLIs report this value so operators
+// can see what an autotuned run actually did.
 func (o Options) EffectiveWorkers(elements int) int {
 	w := o.Workers
-	if w == 0 && o.Engine == EngineAuto && !o.NaivePairScan && elements >= autotuneElements {
+	if w == 0 && elements >= autotuneElements {
 		w = runtime.GOMAXPROCS(0)
 	}
 	if w < 1 {
@@ -275,18 +236,6 @@ func (o Options) EffectiveWorkers(elements int) int {
 		w = elements
 	}
 	return w
-}
-
-// resolveEngine maps EngineAuto to a concrete engine.
-func (o Options) resolveEngine() Engine {
-	switch o.Engine {
-	case EngineRuleByRule, EngineFused:
-		return o.Engine
-	}
-	if o.NaivePairScan {
-		return EngineRuleByRule
-	}
-	return EngineFused
 }
 
 func (o Options) rules() []Rule {
@@ -323,76 +272,47 @@ func Validate(s *schema.Schema, g *pg.Graph, opts Options) *Result {
 }
 
 // ValidateContext is Validate under a context. Cancellation is observed
-// at chunk-claim boundaries — between work chunks in the fused engine,
-// between rules (or tasks) in the rule-by-rule engine — so a cancelled
-// context stops the run before the next unit of work starts, never
-// mid-element. The result of a cancelled run has Incomplete set and
-// carries whatever violations were found before the stop.
+// at chunk-claim boundaries, so a cancelled context stops the run before
+// the next chunk of work starts, never mid-element. The result of a
+// cancelled run has Incomplete set and carries whatever violations were
+// found before the stop.
 func ValidateContext(ctx context.Context, s *schema.Schema, g *pg.Graph, opts Options) *Result {
-	rules := opts.rules()
-	// Resolve Workers once — clamped and, under EngineAuto on large
-	// graphs, autotuned — so every engine below sees a sane count. An
-	// autotuned count (Workers was 0) may be scaled back further below
-	// once the program's measured parallel efficiency is known.
-	origWorkers := opts.Workers
+	autotuned := opts.Workers == 0
 	opts.Workers = opts.EffectiveWorkers(g.NodeBound() + g.EdgeBound())
-	engine := opts.resolveEngine()
-	finish := func(res *Result, timings map[Rule]time.Duration) *Result {
+	res := &Result{}
+	if p, err := opts.prepare(ctx, s, autotuned); err == nil {
+		c := newCollector(opts.MaxViolations)
+		run := &runner{s: s, g: g, opts: opts, coll: c, ctx: ctx}
+		timings, st := run.fused(p, opts.rules(), c)
+		res = c.result()
 		res.RuleTime = timings
-		res.Engine = engine
-		res.Workers = opts.Workers
-		res.Incomplete = ctx.Err() != nil
-		return res
-	}
-	c := newCollector(opts.MaxViolations)
-	run := &runner{s: s, g: g, opts: opts, coll: c, ctx: ctx}
-	if engine == EngineFused {
-		p := opts.Program
-		if p == nil || p.s != s {
-			var err error
-			p, err = CompileContext(ctx, s)
-			if err != nil {
-				return finish(&Result{}, nil)
-			}
-		}
-		// Autotuned (not explicitly requested) worker counts consult the
-		// program's measured parallel efficiency: on a machine where
-		// parallel runs of this program never paid off — a single-core
-		// container — fall back toward sequential instead of eating the
-		// dispatch overhead again.
-		if origWorkers == 0 && opts.Workers > 1 {
-			opts.Workers = p.autotuneWorkers(opts.Workers)
-			run.opts.Workers = opts.Workers
-		}
-		timings, st := run.fused(p, rules, c)
-		res := finish(c.result(), timings)
 		if opts.SchedStats {
 			res.Sched = st
 		}
-		return res
 	}
-	if opts.Workers > 1 {
-		timings := run.parallel(rules, c)
-		return finish(c.result(), timings)
-	}
-	var timings map[Rule]time.Duration
-	if opts.CollectTimings {
-		timings = make(map[Rule]time.Duration, len(rules))
-	}
-	for _, r := range rules {
-		// Keep scanning after the cap fills: the first rejected emit
-		// proves a violation beyond the cap exists, which makes
-		// Truncated exact in sequential mode.
-		if c.truncated() || run.cancelled() {
-			break
-		}
-		start := time.Now()
-		run.runRule(r, c.emit, 0, 1)
-		if timings != nil {
-			timings[r] += time.Since(start)
+	res.Workers = opts.Workers
+	res.Incomplete = ctx.Err() != nil
+	return res
+}
+
+// prepare returns the run's program — o.Program when it was compiled
+// from s, else a fresh compile. An autotuned worker count (the caller
+// passed Workers == 0) is then scaled back by the program's measured
+// parallel efficiency: on a machine where parallel runs of this program
+// never paid off — a single-core container — runs fall back toward
+// sequential instead of eating the dispatch overhead again.
+func (o *Options) prepare(ctx context.Context, s *schema.Schema, autotuned bool) (*Program, error) {
+	p := o.Program
+	if p == nil || p.s != s {
+		var err error
+		if p, err = CompileContext(ctx, s); err != nil {
+			return nil, err
 		}
 	}
-	return finish(c.result(), timings)
+	if autotuned && o.Workers > 1 {
+		o.Workers = p.autotuneWorkers(o.Workers)
+	}
+	return p, nil
 }
 
 // collector accumulates violations with an optional cap, safely across
@@ -441,10 +361,10 @@ func (c *collector) dropFull() bool {
 	return false
 }
 
-// merge splices a task-local violation buffer into the collector under
+// merge splices a chunk-local violation buffer into the collector under
 // a single lock. Buffered violations beyond the cap are dropped but
-// still flip overflow, so a completed task never under-reports
-// truncation (the cap contract the parallel engines rely on).
+// still flip overflow, so a completed chunk never under-reports
+// truncation (the cap contract parallel runs rely on).
 func (c *collector) merge(buf []Violation) {
 	if len(buf) == 0 {
 		return
@@ -491,33 +411,30 @@ func (c *collector) result() *Result {
 	return &Result{Violations: c.violations, Truncated: c.overflow}
 }
 
-// runner binds a schema and graph for one validation run. The optional
-// restriction sets narrow the element space a rule iterates over — used
-// by Revalidate to make incremental checking cheap; nil means "all".
+// runner binds a schema and graph for one validation run. onlyTypes,
+// when set, restricts DS7 to the types related to a delta — used by
+// Revalidate to make incremental checking cheap; nil means "all".
 type runner struct {
 	s    *schema.Schema
 	g    *pg.Graph
 	opts Options
 
-	// ctx is the run's context; nil means non-cancellable. Engines poll
-	// cancelled() at chunk-claim boundaries only — never inside an
+	// ctx is the run's context; nil means non-cancellable. The engine
+	// polls cancelled() at chunk-claim boundaries only — never inside an
 	// element loop — so cancellation cost stays off the hot path.
 	ctx context.Context
 
 	// bind is the compiled program bound to the graph, set by the fused
-	// engine (and by RevalidateWithOptions when given a program). The
-	// shared rule bodies (nodesOfType in particular) use it when
-	// present; the rule-by-rule engine leaves it nil.
+	// engine and by Revalidate. The unrestricted DS7 sweep reads its
+	// cached key index.
 	bind *binding
 
 	// coll is the run's collector, consulted by drop() to skip
 	// formatting violations that a full collector would reject anyway.
-	// Nil (Revalidate's restricted sweeps) means never drop.
+	// Nil means never drop.
 	coll *collector
 
-	onlyNodes map[pg.NodeID]bool
-	onlyEdges map[pg.EdgeID]bool
-	onlyTypes map[string]bool // restricts DS7 to related types
+	onlyTypes map[string]bool
 }
 
 // drop reports whether the imminent violation should be skipped because
@@ -527,34 +444,6 @@ func (r *runner) drop() bool { return r.coll != nil && r.coll.dropFull() }
 
 // cancelled reports whether the run's context has been cancelled.
 func (r *runner) cancelled() bool { return r.ctx != nil && r.ctx.Err() != nil }
-
-// nodes returns the node iteration space under the restriction.
-func (r *runner) nodes() []pg.NodeID {
-	if r.onlyNodes == nil {
-		return r.g.Nodes()
-	}
-	out := make([]pg.NodeID, 0, len(r.onlyNodes))
-	for _, id := range r.g.Nodes() {
-		if r.onlyNodes[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// edges returns the edge iteration space under the restriction.
-func (r *runner) edges() []pg.EdgeID {
-	if r.onlyEdges == nil {
-		return r.g.Edges()
-	}
-	out := make([]pg.EdgeID, 0, len(r.onlyEdges))
-	for _, id := range r.g.Edges() {
-		if r.onlyEdges[id] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
 
 // typeAllowed reports whether DS7 should consider the type under the
 // restriction (a type is relevant when an affected label is ⊑ it).
@@ -571,137 +460,6 @@ func (r *runner) typeAllowed(name string) bool {
 }
 
 type emitFunc func(Violation)
-
-// runRule evaluates one rule over the shard [shard, nShards) of the
-// element space (sharding applies to the outer node/edge loop).
-func (r *runner) runRule(rule Rule, emit emitFunc, shard, nShards int) {
-	switch rule {
-	case WS1:
-		r.ws1(emit, shard, nShards)
-	case WS2:
-		r.ws2(emit, shard, nShards)
-	case WS3:
-		r.ws3(emit, shard, nShards)
-	case WS4:
-		r.ws4(emit, shard, nShards)
-	case DS1:
-		r.ds1(emit, shard, nShards)
-	case DS2:
-		r.ds2(emit, shard, nShards)
-	case DS3:
-		r.ds3(emit, shard, nShards)
-	case DS4:
-		r.ds4(emit, shard, nShards)
-	case DS5:
-		r.ds5(emit, shard, nShards)
-	case DS6:
-		r.ds6(emit, shard, nShards)
-	case DS7:
-		r.ds7(emit, shard, nShards)
-	case SS1:
-		r.ss1(emit, shard, nShards)
-	case SS2:
-		r.ss2(emit, shard, nShards)
-	case SS3:
-		r.ss3(emit, shard, nShards)
-	case SS4:
-		r.ss4(emit, shard, nShards)
-	}
-}
-
-// parallel runs the rules on a worker pool, either one rule per task or —
-// with ElementSharding — one (rule, shard) pair per task. When
-// Options.CollectTimings is set it returns the per-rule task durations,
-// summed across workers and shards; otherwise it returns nil.
-func (r *runner) parallel(rules []Rule, c *collector) map[Rule]time.Duration {
-	type task struct {
-		rule           Rule
-		shard, nShards int
-	}
-	var tasks []task
-	if r.opts.ElementSharding {
-		n := r.opts.Workers
-		for _, rule := range rules {
-			if rule == DS7 {
-				// DS7 buckets nodes globally; shards would each
-				// need the full bucket map, so keep it whole.
-				tasks = append(tasks, task{rule, 0, 1})
-				continue
-			}
-			for s := 0; s < n; s++ {
-				tasks = append(tasks, task{rule, s, n})
-			}
-		}
-	} else {
-		for _, rule := range rules {
-			tasks = append(tasks, task{rule, 0, 1})
-		}
-	}
-	var (
-		timingMu sync.Mutex
-		timings  map[Rule]time.Duration
-	)
-	if r.opts.CollectTimings {
-		timings = make(map[Rule]time.Duration, len(rules))
-		for _, rule := range rules {
-			timings[rule] = 0 // every requested rule gets an entry
-		}
-	}
-	ch := make(chan task)
-	var wg sync.WaitGroup
-	for w := 0; w < r.opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for t := range ch {
-				// Tasks not yet started are skipped once the cap is
-				// reached or the context is cancelled; a started task
-				// runs to completion and merges its buffer, so overflow
-				// among completed tasks is never lost (see
-				// collector.merge). Cancelled workers keep draining the
-				// channel so the feeder below never blocks.
-				if c.full() || r.cancelled() {
-					continue
-				}
-				bufp := violationBufPool.Get().(*[]Violation)
-				buf := (*bufp)[:0]
-				emit := func(v Violation) { buf = append(buf, v) }
-				start := time.Now()
-				r.runRule(t.rule, emit, t.shard, t.nShards)
-				elapsed := time.Since(start)
-				c.merge(buf)
-				*bufp = buf[:0]
-				violationBufPool.Put(bufp)
-				if timings != nil {
-					timingMu.Lock()
-					timings[t.rule] += elapsed
-					timingMu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, t := range tasks {
-		ch <- t
-	}
-	close(ch)
-	wg.Wait()
-	return timings
-}
-
-// nodeShard reports whether node id belongs to the shard.
-func nodeShard(id pg.NodeID, shard, nShards int) bool {
-	return nShards <= 1 || int(id)%nShards == shard
-}
-
-// edgeShard reports whether edge id belongs to the shard.
-func edgeShard(id pg.EdgeID, shard, nShards int) bool {
-	return nShards <= 1 || int(id)%nShards == shard
-}
-
-// violationBufPool recycles the task-local violation buffers of the
-// parallel engines, so a task on a violation-free shard costs no buffer
-// allocation and a violating task reuses a previously grown buffer.
-var violationBufPool = sync.Pool{New: func() any { return new([]Violation) }}
 
 func nodeRef(id pg.NodeID) string { return "node n" + strconv.Itoa(int(id)) }
 

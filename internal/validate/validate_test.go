@@ -662,12 +662,14 @@ func TestNaivePairScanMatchesIndexed(t *testing.T) {
 	g.MustAddEdge(p, b3, "published")
 	g.MustAddEdge(a2, b3, "favoriteBook") // WS4 (two favoriteBook edges)
 
-	fast := Validate(s, g, Options{})
-	slow := Validate(s, g, Options{NaivePairScan: true})
-	fr, sr := fast.ByRule(), slow.ByRule()
-	for _, rule := range []Rule{WS4, DS1, DS3} {
-		if len(fr[rule]) != len(sr[rule]) {
-			t.Errorf("rule %s: indexed %d vs naive %d", rule, len(fr[rule]), len(sr[rule]))
+	slow := ValidateNaiveOracle(s, g, Options{})
+	sr := slow.ByRule()
+	for _, fast := range []*Result{Validate(s, g, Options{}), ValidateOracle(s, g, Options{})} {
+		fr := fast.ByRule()
+		for _, rule := range []Rule{WS4, DS1, DS3} {
+			if len(fr[rule]) != len(sr[rule]) {
+				t.Errorf("rule %s: indexed %d vs naive %d", rule, len(fr[rule]), len(sr[rule]))
+			}
 		}
 	}
 }

@@ -121,9 +121,6 @@ type ValidationProgram = validate.Program
 // ProgramStats summarizes a compiled ValidationProgram.
 type ProgramStats = validate.ProgramStats
 
-// ValidationEngine selects the evaluation strategy of ValidateGraph.
-type ValidationEngine = validate.Engine
-
 // SatReport is the outcome of CheckType / CheckField.
 type SatReport = sat.Report
 
@@ -138,17 +135,6 @@ const (
 	Strong     = validate.Strong
 	Weak       = validate.Weak
 	Directives = validate.Directives
-)
-
-// Validation engines (the evaluation strategy ValidateGraph uses).
-// EngineAuto — the default — resolves to the fused engine, which makes
-// one pass over the nodes and one over the edges; EngineRuleByRule runs
-// the definitional one-sweep-per-rule shape. Both produce the identical
-// violation set (proven by the differential harness in internal/validate).
-const (
-	EngineAuto       = validate.EngineAuto
-	EngineRuleByRule = validate.EngineRuleByRule
-	EngineFused      = validate.EngineFused
 )
 
 // Satisfiability verdicts.
@@ -215,16 +201,16 @@ func NewGraph() *Graph { return pg.New() }
 // ReadGraphJSON loads a Property Graph from its JSON interchange form.
 func ReadGraphJSON(r io.Reader) (*Graph, error) { return pg.ReadJSON(r) }
 
-// ReadGraphCSV loads a Property Graph from nodes/edges CSV streams.
-func ReadGraphCSV(nodes, edges io.Reader) (*Graph, error) { return pg.ReadCSV(nodes, edges) }
+// ReadGraphCSV loads a Property Graph from nodes/edges CSV streams; it
+// is ReadGraphCSVStream under a background context.
+func ReadGraphCSV(nodes, edges io.Reader) (*Graph, error) { return pg.ReadCSVStream(nodes, edges) }
 
 // ReadGraphCSVStream loads a Property Graph from nodes/edges CSV
 // streams with the streaming columnar builder: rows are appended
 // straight into the columnar snapshot form validation scans, so the
 // loaded graph carries a pre-built snapshot and the first validation
-// pass skips a full re-materialization. The result is observably
-// identical to ReadGraphCSV; a cancelled ctx stops the load between
-// row batches.
+// pass skips a full re-materialization. A cancelled ctx stops the load
+// between row batches.
 func ReadGraphCSVStream(ctx context.Context, nodes, edges io.Reader) (*Graph, error) {
 	return pg.ReadCSVStreamContext(ctx, nodes, edges)
 }
@@ -234,7 +220,7 @@ func ReadGraphCSVStream(ctx context.Context, nodes, edges io.Reader) (*Graph, er
 // overlaps the load) and validated in the same materialization. It
 // returns the validation result together with the loaded graph, and
 // emits the byte-identical violation set to ReadGraphCSV followed by
-// ValidateGraph with the same options.
+// ValidateGraphContext with the same options.
 func ValidateCSVStream(ctx context.Context, s *Schema, nodes, edges io.Reader, opts ValidateOptions) (*ValidationResult, *Graph, error) {
 	return validate.ValidateStream(ctx, s, nodes, edges, opts)
 }
@@ -464,7 +450,11 @@ func NewRegistryHandler(cfg RegistryConfig) (http.Handler, error) {
 // Deprecated: use ExecuteQueryContext, which takes the run context
 // first (parse the query with ParseQuery).
 func ExecuteQuery(s *Schema, g *Graph, querySrc string) (map[string]any, error) {
-	return query.ExecuteQuery(s, g, querySrc)
+	doc, err := query.Parse(querySrc)
+	if err != nil {
+		return nil, err
+	}
+	return ExecuteQueryContext(context.Background(), s, g, doc, "")
 }
 
 // QueryDocument is a parsed GraphQL query document.
@@ -489,8 +479,8 @@ func ParseQuery(src string) (*QueryDocument, error) { return query.Parse(src) }
 
 // CompileQuery compiles a parsed document against the schema into an
 // immutable QueryPlan. Compilation never fails: malformed selections
-// compile into error steps that surface lazily at execution, exactly
-// when (and only when) the tree-walking executor would report them.
+// compile into error steps that surface lazily at execution, when (and
+// only when) a node reaches them.
 func CompileQuery(s *Schema, doc *QueryDocument) *QueryPlan { return query.Compile(s, doc) }
 
 // NewQueryPlanCache builds a plan cache over the schema; capacity <= 0
@@ -499,11 +489,13 @@ func NewQueryPlanCache(s *Schema, capacity int) *QueryPlanCache {
 	return query.NewPlanCache(s, capacity)
 }
 
-// ExecuteQueryContext is ExecuteQuery with cancellation: the
-// interpretive executor polls ctx at scan boundaries, so long scans
-// over large graphs abort promptly. The operationName selects the
-// operation when the document defines more than one (empty selects the
-// sole operation).
+// ExecuteQueryContext is ExecuteQuery with cancellation. It compiles the
+// document (CompileQuery) and executes the plan once, which polls ctx
+// at scan boundaries, so long scans over large graphs abort promptly.
+// Callers that run a query repeatedly should keep the QueryPlan, or a
+// QueryPlanCache, instead. The operationName selects the operation when
+// the document defines more than one (empty selects the sole
+// operation).
 func ExecuteQueryContext(ctx context.Context, s *Schema, g *Graph, doc *QueryDocument, operationName string) (map[string]any, error) {
-	return query.ExecuteContext(ctx, s, g, doc, operationName)
+	return query.Compile(s, doc).Execute(ctx, g, operationName)
 }
