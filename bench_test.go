@@ -408,6 +408,15 @@ func mustParseB(b *testing.B, sdl string) *pgschema.Schema {
 // its seed state and the cached full result stays a valid prev
 // throughout; the incremental arm also exercises the cross-epoch
 // binding rebind and snapshot patching the mutation path installs.
+//
+// The delta=… arms touch Book.pages, which no @key covers; the name
+// arms touch Author.name, the @key attribute, so DS7 re-checks the touched
+// buckets. The node=1 arms revalidate a one-node delta: "after-apply"
+// times the first revalidation of the Apply → validate → Undo round
+// trip, which builds the patched snapshot's key index; "unchanged"
+// applies once and times repeated revalidations of the same state (what
+// a /revalidate of an unmutated graph does), whose key index an earlier
+// revalidation already built.
 func BenchmarkIncremental(b *testing.B) {
 	s, g := benchGraph(b, 143_000)
 	prog := pgschema.CompileValidation(s)
@@ -419,55 +428,88 @@ func BenchmarkIncremental(b *testing.B) {
 		b.Fatal("seed graph invalid")
 	}
 	elems := g.NumNodes() + g.NumEdges()
-	books := g.NodesLabeled("Book")
 	ctx := context.Background()
-	for _, frac := range []struct {
-		name string
-		div  int
-	}{{"delta=0.1%", 1000}, {"delta=1%", 100}} {
-		n := elems / frac.div
-		if n > len(books) {
-			n = len(books)
-		}
+	// batch sets prop on n nodes of the label, spread evenly, to values
+	// no seed node carries.
+	batch := func(label, prop string, n int) pgschema.GraphDelta {
+		nodes := g.NodesLabeled(label)
+		n = min(n, len(nodes))
 		specs := make([]pgschema.NodePropSpec, n)
 		for i := range specs {
-			specs[i] = pgschema.NodePropSpec{
-				Node: books[i*len(books)/n], Name: "pages", Value: pgschema.Int(int64(i)),
+			v := pgschema.Int(int64(i))
+			if prop == "name" {
+				v = pgschema.String(fmt.Sprintf("renamed-%d", i))
 			}
+			specs[i] = pgschema.NodePropSpec{Node: nodes[i*len(nodes)/n], Name: prop, Value: v}
 		}
-		delta := pgschema.GraphDelta{SetNodeProps: specs}
-		// Only validation is timed: the Apply/Undo bookends are the same
-		// mutation cost in both arms and would otherwise drown the
-		// revalidation difference being measured.
-		run := func(b *testing.B, incremental bool) {
-			b.Helper()
+		return pgschema.GraphDelta{SetNodeProps: specs}
+	}
+	// roundTrip times one validation per Apply → validate → Undo round
+	// trip. Only validation is timed: the Apply/Undo bookends are the
+	// same mutation cost in both arms and would otherwise drown the
+	// revalidation difference being measured.
+	roundTrip := func(b *testing.B, delta pgschema.GraphDelta, incremental bool) {
+		b.Helper()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			u, err := g.Apply(delta)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			var res *pgschema.ValidationResult
+			if incremental {
+				res = pgschema.Revalidate(ctx, s, g, base, pgschema.DeltaFor(u.Touched()), opts)
+			} else {
+				res = pgschema.ValidateGraph(s, g, opts)
+			}
+			b.StopTimer()
+			if !res.OK() {
+				b.Fatal("unexpected violations")
+			}
+			if err := u.Undo(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(len(delta.SetNodeProps)), "delta-elems")
+		b.ReportMetric(float64(elems), "graph-elems")
+	}
+	for _, arm := range []struct {
+		name, label, prop string
+		div               int
+	}{
+		{"delta=0.1%", "Book", "pages", 1000},
+		{"delta=1%", "Book", "pages", 100},
+		{"name/delta=0.1%", "Author", "name", 1000},
+	} {
+		delta := batch(arm.label, arm.prop, elems/arm.div)
+		if arm.prop == "pages" {
+			b.Run(arm.name+"/full", func(b *testing.B) { roundTrip(b, delta, false) })
+		}
+		b.Run(arm.name+"/incremental", func(b *testing.B) { roundTrip(b, delta, true) })
+	}
+	for _, arm := range []struct{ label, prop string }{{"Book", "pages"}, {"Author", "name"}} {
+		delta := batch(arm.label, arm.prop, 1)
+		b.Run("node=1/"+arm.label+"/after-apply", func(b *testing.B) { roundTrip(b, delta, true) })
+		b.Run("node=1/"+arm.label+"/unchanged", func(b *testing.B) {
+			u, err := g.Apply(delta)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d := pgschema.DeltaFor(u.Touched())
+			pgschema.Revalidate(ctx, s, g, base, d, opts) // builds the state's indexes
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				u, err := g.Apply(delta)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				var res *pgschema.ValidationResult
-				if incremental {
-					res = pgschema.Revalidate(ctx, s, g, base, pgschema.DeltaFor(u.Touched()), opts)
-				} else {
-					res = pgschema.ValidateGraph(s, g, opts)
-				}
-				b.StopTimer()
-				if !res.OK() {
+				if !pgschema.Revalidate(ctx, s, g, base, d, opts).OK() {
 					b.Fatal("unexpected violations")
 				}
-				if err := u.Undo(); err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
 			}
-			b.ReportMetric(float64(n), "delta-elems")
-			b.ReportMetric(float64(elems), "graph-elems")
-		}
-		b.Run(frac.name+"/full", func(b *testing.B) { run(b, false) })
-		b.Run(frac.name+"/incremental", func(b *testing.B) { run(b, true) })
+			b.StopTimer()
+			if err := u.Undo(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

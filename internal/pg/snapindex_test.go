@@ -57,12 +57,12 @@ func checkIndexes(t *testing.T, g *Graph, s *Snapshot) {
 		for _, props := range [][]Sym{{kSym}, {NoSym}, {kSym, NoSym}} {
 			tuples := map[string][]NodeID{}
 			for _, v := range want {
-				var sb strings.Builder
+				var tuple []byte
 				for _, p := range props {
 					val, ok := s.NodePropBySym(v, p)
-					WriteKeyPart(&sb, val, ok)
+					tuple = AppendKeyPart(tuple, val, ok)
 				}
-				tuples[sb.String()] = append(tuples[sb.String()], v)
+				tuples[string(tuple)] = append(tuples[string(tuple)], v)
 			}
 			for tuple, ids := range tuples {
 				if got := s.KeyBucket(sym, props, tuple); !slices.Equal(got, ids) {
@@ -73,6 +73,49 @@ func checkIndexes(t *testing.T, g *Graph, s *Snapshot) {
 				t.Errorf("KeyBucket(%s, %v) of a missing tuple = %v", name, props, got)
 			}
 		}
+	}
+	// The merged index over two labels, Other first: its buckets list
+	// Other's nodes before Item's, and its conflicts are the buckets of
+	// two or more nodes ordered by first node.
+	var labels []Sym
+	for _, name := range []string{"Other", "Item"} {
+		sym, _ := g.Sym(name)
+		labels = append(labels, sym)
+	}
+	kSym, _ := g.Sym("k")
+	props := []Sym{kSym}
+	tuples := map[string][]NodeID{}
+	var enum []NodeID
+	for _, l := range labels {
+		for _, v := range s.LabelNodes(l) {
+			enum = append(enum, v)
+			val, ok := s.NodePropBySym(v, kSym)
+			tuple := string(AppendKeyPart(nil, val, ok))
+			if got := s.KeyTuple(v, props); got != tuple {
+				t.Errorf("KeyTuple(%d) = %q, want %q", v, got, tuple)
+			}
+			tuples[tuple] = append(tuples[tuple], v)
+		}
+	}
+	var conflicts []KeyConflict
+	for tuple, ids := range tuples {
+		if got := s.KeyBucketIn(labels, props, tuple); !slices.Equal(got, ids) {
+			t.Errorf("KeyBucketIn(%q) = %v, want %v", tuple, got, ids)
+		}
+		if len(ids) >= 2 {
+			conflicts = append(conflicts, KeyConflict{Tuple: tuple, Nodes: ids})
+		}
+	}
+	// Other's lone node comes first in the enumeration, so the
+	// conflicts are in first-met order, not in id order.
+	slices.SortFunc(conflicts, func(a, b KeyConflict) int {
+		return slices.Index(enum, a.Nodes[0]) - slices.Index(enum, b.Nodes[0])
+	})
+	got := s.KeyConflicts(labels, props)
+	if !slices.EqualFunc(got, conflicts, func(a, b KeyConflict) bool {
+		return a.Tuple == b.Tuple && slices.Equal(a.Nodes, b.Nodes)
+	}) {
+		t.Errorf("KeyConflicts = %v, want %v", got, conflicts)
 	}
 	if got := s.LabelNodes(NoSym); got != nil {
 		t.Errorf("LabelNodes(NoSym) = %v", got)
@@ -149,16 +192,13 @@ func TestSnapshotIndexesEveryConstructor(t *testing.T) {
 // "P"+Value.Key(), absent ones "A", each NUL-terminated — and Int 1 and
 // Float 1 collide, which is why lookups verify with values.Equal.
 func TestKeyPartRendering(t *testing.T) {
-	var sb strings.Builder
-	WriteKeyPart(&sb, values.ID("x"), true)
-	WriteKeyPart(&sb, values.Value{}, false)
-	if got, want := sb.String(), "Ps:x\x00A\x00"; got != want {
+	tuple := AppendKeyPart(nil, values.ID("x"), true)
+	tuple = AppendKeyPart(tuple, values.Value{}, false)
+	if got, want := string(tuple), "Ps:x\x00A\x00"; got != want {
 		t.Fatalf("rendered %q, want %q", got, want)
 	}
-	var a, b strings.Builder
-	WriteKeyPart(&a, values.Int(1), true)
-	WriteKeyPart(&b, values.Float(1), true)
-	if a.String() != b.String() {
-		t.Fatalf("Int 1 renders %q, Float 1 renders %q", a.String(), b.String())
+	a, b := AppendKeyPart(nil, values.Int(1), true), AppendKeyPart(nil, values.Float(1), true)
+	if string(a) != string(b) {
+		t.Fatalf("Int 1 renders %q, Float 1 renders %q", a, b)
 	}
 }

@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -296,12 +295,12 @@ func (c *compiler) compileLookup(tn string, f *Field) rootStep {
 	}
 	st := rootStep{kind: rtLookup, key: f.Key(), typeName: tn, typeSlot: c.symSlot(tn), keySlot: int32(len(c.p.symNames))}
 	c.p.symNames = append(c.p.symNames, keys...)
-	var sb strings.Builder
+	var tuple []byte
 	for _, k := range keys {
-		pg.WriteKeyPart(&sb, want[k], true)
+		tuple = pg.AppendKeyPart(tuple, want[k], true)
 		st.want = append(st.want, want[k])
 	}
-	st.bucketKey = sb.String()
+	st.bucketKey = string(tuple)
 	st.sub, st.subErr = c.compileBody(tn, f.Selections)
 	return st
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -334,5 +335,55 @@ func TestApplyEnvelopeGolden(t *testing.T) {
 		`"newNodes":[2],"touched":{"edges":null,"labels":["City"],"nodes":[2]}}`
 	if string(got) != golden {
 		t.Errorf("apply envelope drifted:\ngot:    %s\ngolden: %s", got, golden)
+	}
+}
+
+// TestRevalidateAfterApplyMovesKeyBuckets plants @key conflicts, moves
+// nodes between key buckets with an apply that does not revalidate —
+// the anchor of one conflict joins another bucket, a member of a second
+// conflict is relabeled away from the keyed type, a third node joins a
+// bucket — and then revalidates with the apply's touched ids. The
+// answer must equal a fresh full /validate.
+func TestRevalidateAfterApplyMovesKeyBuckets(t *testing.T) {
+	h := newTestHandler(t)
+	mux := h.Mux()
+	postJSON(t, mux, "/validate", "") // seed the cache
+
+	// Nodes 2-5: conflicts {1 Amsterdam, 4} and {2, 3, 5 Gent}.
+	rec, out := postApply(t, mux, `{"addNodes": [
+		{"label": "City", "props": {"name": "Gent"}},
+		{"label": "City", "props": {"name": "Gent"}},
+		{"label": "City", "props": {"name": "Amsterdam"}},
+		{"label": "City", "props": {"name": "Gent"}}], "revalidate": true}`)
+	if rec.Code != http.StatusOK || out.Validation == nil {
+		t.Fatalf("planting apply: %d %s", rec.Code, rec.Body.String())
+	}
+	ds7 := 0
+	for _, v := range out.Validation.Violations {
+		if v.Rule == "DS7" {
+			ds7++
+		}
+	}
+	if ds7 != 2 {
+		t.Fatalf("planted %d key conflicts, want 2: %+v", ds7, out.Validation.Violations)
+	}
+
+	rec, out = postApply(t, mux, `{
+		"setNodeProps": [{"node": 1, "name": "name", "value": "Gent"}, {"node": 3, "name": "name", "value": "Linköping"}],
+		"relabelNodes": [{"node": 2, "label": "Town"}]}`)
+	if rec.Code != http.StatusOK || out.Validation != nil {
+		t.Fatalf("moving apply: %d %s", rec.Code, rec.Body.String())
+	}
+	body, err := json.Marshal(out.Touched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, inc := postJSON(t, mux, "/revalidate", string(body))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("revalidate: %d %s", rec.Code, rec.Body.String())
+	}
+	_, full := postJSON(t, mux, "/validate", "")
+	if !reflect.DeepEqual(inc.Violations, full.Violations) {
+		t.Errorf("incremental and full results differ:\nincremental: %+v\nfull: %+v", inc.Violations, full.Violations)
 	}
 }

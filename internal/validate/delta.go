@@ -17,10 +17,11 @@ import (
 type Delta struct {
 	Nodes []pg.NodeID
 	Edges []pg.EdgeID
-	// Labels lists additional node types whose @key buckets must be
-	// recomputed: the former labels of relabeled or removed nodes (the
-	// current label is derived from Nodes automatically). Without this,
-	// a relabeled node could leave a stale key-conflict report behind.
+	// Labels lists the former labels of relabeled or removed nodes (the
+	// current label is derived from Nodes automatically). The key
+	// conflicts previously reported for types above these labels are
+	// re-checked, so a node that left a bucket cannot leave a stale
+	// report behind.
 	Labels []string
 }
 
@@ -74,7 +75,8 @@ type deltaRegion struct {
 	edgeSet   idBits          // WS2, WS3, SS3, SS4: delta + incident edges
 	sourceSet idBits          // WS4, DS1, DS2, DS6: delta nodes ∪ sources of region edges
 	targetSet idBits          // DS3, DS4: delta nodes ∪ targets of region edges
-	affected  map[string]bool // DS7: types ⊒-related to a delta label
+	affected  map[string]bool // DS7: the delta's current and former labels
+	keys      map[keyBucket]bool
 }
 
 // regionOf computes the influence region of a delta on the current
@@ -85,8 +87,8 @@ type deltaRegion struct {
 //	                        delta node (λ(v1)/λ(v2) feed edge rules)
 //	WS4, DS1, DS2, DS6      delta nodes and sources of region edges
 //	DS3, DS4                delta nodes and targets of region edges
-//	DS7                     every node type ⊒-related to a delta label
-//	                        (key buckets are global per type)
+//	DS7                     the key buckets keyRegion derives from the
+//	                        affected labels and the previous result
 func regionOf(g *pg.Graph, delta Delta) deltaRegion {
 	// A delta produced by an Undo can reference elements that were
 	// appended by the undone Apply and popped again — their IDs sit
@@ -108,7 +110,7 @@ func regionOf(g *pg.Graph, delta Delta) deltaRegion {
 		if int(n) >= nb {
 			continue
 		}
-		// Node types whose key buckets may have shifted. Removed nodes
+		// Labels whose key conflicts may have shifted. Removed nodes
 		// still expose their former label, so they contribute too.
 		reg.affected[g.NodeLabel(n)] = true
 		// A node's label and existence feed into the edge-scoped rules
@@ -178,8 +180,8 @@ func sortedEdgeList(set idBits, bound int) []pg.EdgeID {
 
 // Revalidate produces the full validation result after a mutation
 // without re-checking the entire graph: it re-runs each rule only over
-// the region the delta can influence (see regionOf) and splices the
-// fresh findings into prev.
+// the region the delta can influence (see regionOf and keyRegion) and
+// splices the fresh findings into prev.
 //
 // prev must be a complete result (not Truncated, not Incomplete) for
 // the same schema, mode, and rule set over the graph state before the
@@ -187,7 +189,9 @@ func sortedEdgeList(set idBits, bound int) []pg.EdgeID {
 // with the same options would produce on the current state — the
 // equivalence the differential harness verifies. When prev is nil,
 // truncated, or incomplete there is nothing sound to splice into, and
-// Revalidate falls back to a full run.
+// Revalidate falls back to a full run — as it does when prev reports a
+// key conflict it must re-check without the bucket this package's runs
+// note beside each DS7 violation.
 //
 // The region runs through delta-scoped fused passes over the epoch's
 // snapshot, chunked onto the work-stealing pool when Options.Workers
@@ -199,6 +203,7 @@ func Revalidate(ctx context.Context, s *schema.Schema, g *pg.Graph, prev *Result
 	if prev == nil || prev.Truncated || prev.Incomplete {
 		return ValidateContext(ctx, s, g, opts)
 	}
+	full := opts
 	rules := opts.rules()
 	reg := regionOf(g, delta)
 	// Worker resolution keys on the dirty-element count, not the graph
@@ -209,8 +214,11 @@ func Revalidate(ctx context.Context, s *schema.Schema, g *pg.Graph, prev *Result
 	if p, err := opts.prepare(ctx, s, autotuned); err == nil {
 		c := newCollector(0)
 		r := &runner{s: s, g: g, opts: opts, ctx: ctx, coll: c, bind: p.bindTo(g)}
-		r.onlyTypes = reg.affected // consulted by the DS7 chunk alone
-		timings, st := r.runChunks(r.planDirtyChunks(wantRules(rules), reg), rules, c)
+		w := wantRules(rules)
+		if w.ds7 && !r.keyRegion(prev, &reg) {
+			return ValidateContext(ctx, s, g, full)
+		}
+		timings, st := r.runChunks(r.planDirtyChunks(w, reg), rules, c)
 		out = splice(r, prev, c.result(), reg)
 		out.RuleTime = timings
 		if opts.SchedStats {
@@ -222,19 +230,74 @@ func Revalidate(ctx context.Context, s *schema.Schema, g *pg.Graph, prev *Result
 	return out
 }
 
-// RevalidateWithOptions is the pre-context signature of Revalidate.
+// keyRegion fills reg.keys and r.keyBuckets with the DS7 buckets a
+// delta can have changed, the union of
 //
-// Deprecated: use Revalidate, which takes the run context first.
-func RevalidateWithOptions(s *schema.Schema, g *pg.Graph, prev *Result, delta Delta, opts Options) *Result {
-	return Revalidate(context.Background(), s, g, prev, delta, opts)
+//   - the current bucket of every live delta node under each key
+//     declaration of its label (the buckets a node joined or stayed in),
+//   - the recorded bucket of every prior DS7 violation whose type is
+//     ⊒-related to an affected label or whose anchor is gone (the
+//     buckets a node left — even as their anchor, or by removal — which
+//     may no longer conflict).
+//
+// Each is one lookup in the snapshot's shared key index, so the DS7
+// work is O(|delta| + prior conflicts of affected types), not a sweep of
+// the affected types' nodes. It reports false when a prior violation it
+// must re-check carries no recorded bucket.
+func (r *runner) keyRegion(prev *Result, reg *deltaRegion) bool {
+	b := r.bind
+	reg.keys = make(map[keyBucket]bool)
+	for _, v := range sortedNodeList(reg.nodeSet, b.snap.NodeBound()) {
+		ls := b.snap.NodeLabelSym(v)
+		if ls == pg.NoSym {
+			continue
+		}
+		for _, d := range b.labels[ls].keys {
+			reg.keys[keyBucket{decl: d, tuple: b.snap.KeyTuple(v, b.keys[d].props)}] = true
+		}
+	}
+	affected := make(map[string]bool)
+	for _, v := range prev.Violations {
+		if v.Rule != DS7 {
+			continue
+		}
+		hit, seen := affected[v.TypeName]
+		if !seen {
+			for label := range reg.affected {
+				if hit = r.s.SubtypeNamed(label, v.TypeName); hit {
+					break
+				}
+			}
+			affected[v.TypeName] = hit
+		}
+		if !hit && r.g.HasNode(v.Node) {
+			continue
+		}
+		kb, ok := prev.keys[v]
+		if !ok {
+			return false
+		}
+		// Declarations repeated verbatim report identical violations,
+		// which share one note: re-check the bucket under each of them.
+		k := b.keys[kb.decl].keyDecl
+		for d := range b.keys {
+			if kd := b.keys[d].keyDecl; kd.typeName == k.typeName && kd.keyFields == k.keyFields {
+				reg.keys[keyBucket{decl: d, tuple: kb.tuple}] = true
+			}
+		}
+	}
+	for kb := range reg.keys {
+		r.keyBuckets = append(r.keyBuckets, kb)
+	}
+	return true
 }
 
 // planDirtyChunks plans the delta-scoped fused work: the region's
 // sorted dirty lists chunked for the work-stealing cursor, each chunk
 // carrying only the rules whose influence region it covers. DS4 runs as
 // a dirty pass testing candidates against each declaration's
-// target-label syms (no enumeration build), and DS7 stays a single
-// restricted task over the runner's onlyTypes.
+// target-label syms (no enumeration build), and DS7 re-checks the
+// runner's keyBuckets.
 func (r *runner) planDirtyChunks(w fusedWant, reg deltaRegion) []fusedChunk {
 	workers := r.opts.Workers
 	if workers < 1 {
@@ -270,7 +333,7 @@ func (r *runner) planDirtyChunks(w fusedWant, reg deltaRegion) []fusedChunk {
 		add(taskEdgePass, cw, nil, list, len(list))
 	}
 	if w.ds7 {
-		chunks = append(chunks, fusedChunk{kind: taskDS7, decl: -1, w: fusedWant{ds7: true}})
+		add(taskDS7Dirty, fusedWant{ds7: true}, nil, nil, len(r.keyBuckets))
 	}
 	return chunks
 }
@@ -278,24 +341,33 @@ func (r *runner) planDirtyChunks(w fusedWant, reg deltaRegion) []fusedChunk {
 // splice merges a fresh region result into the previous full result:
 // prior violations anchored in the recomputed region are dropped, the
 // rest kept, the fresh findings added, and the whole re-sorted
-// canonically.
+// canonically. The DS7 bucket notes follow their violations.
 func splice(r *runner, prev, fresh *Result, reg deltaRegion) *Result {
 	out := newCollector(0)
 	for _, v := range prev.Violations {
-		if staleViolation(r, v, reg) {
+		if staleViolation(r, prev, v, reg) {
 			continue
 		}
 		out.emit(v)
+		if v.Rule != DS7 {
+			continue
+		}
+		if kb, ok := prev.keys[v]; ok {
+			out.noteKey(v, kb)
+		}
 	}
 	for _, v := range fresh.Violations {
 		out.emit(v)
+	}
+	for v, kb := range fresh.keys {
+		out.noteKey(v, kb)
 	}
 	return out.result()
 }
 
 // staleViolation reports whether a prior violation lies in the region the
 // delta invalidates (and was therefore recomputed).
-func staleViolation(r *runner, v Violation, reg deltaRegion) bool {
+func staleViolation(r *runner, prev *Result, v Violation, reg deltaRegion) bool {
 	switch v.Rule {
 	case WS1, SS1, SS2, DS5:
 		return reg.nodeSet.has(int(v.Node)) || !r.g.HasNode(v.Node)
@@ -306,15 +378,8 @@ func staleViolation(r *runner, v Violation, reg deltaRegion) bool {
 	case DS3, DS4:
 		return reg.targetSet.has(int(v.Node)) || !r.g.HasNode(v.Node)
 	case DS7:
-		if !r.g.HasNode(v.Node) {
-			return true
-		}
-		for label := range reg.affected {
-			if r.s.SubtypeNamed(label, v.TypeName) {
-				return true
-			}
-		}
-		return false
+		kb, ok := prev.keys[v]
+		return ok && reg.keys[kb]
 	}
 	return true // unknown rule: be safe, recompute path dropped it
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,17 +34,63 @@ var revalConfigs = []struct {
 	{"seq/fused+program", true, func(o *validate.Options) {}},
 }
 
+// revalSchema is a schema the incremental differential runs over, with
+// the labels randomGraphDelta draws from; keyed lists the labels the
+// bucket-move mutators aim at.
+type revalSchema struct {
+	sdl        string
+	nodeLabels []string
+	keyed      []string
+}
+
+// objectKeySchema is diffSchema, whose @key sits on one object type.
+var objectKeySchema = revalSchema{diffSchema, []string{"Author", "Book", "BookSeries", "Publisher", "Ghost"}, []string{"Author"}}
+
+// interfaceKeySchema puts a @key on an interface implemented by two
+// object types, so its buckets span two labels; Author keeps its own
+// key as well, declared twice so that two declarations report identical
+// violations.
+var interfaceKeySchema = revalSchema{`
+interface Person @key(fields: ["name"]) {
+	name: String
+}
+type Author implements Person @key(fields: ["name"]) @key(fields: ["name"]) {
+	name: String! @required
+	age: Int
+	favoriteBook: Book
+	relatedAuthor: [Author] @distinct @noLoops
+}
+type Editor implements Person {
+	name: String! @required
+	edits: [Book]
+}
+type Book {
+	title: String! @required
+	pages: Int
+	author(since: Int!, role: String): [Author] @required @distinct
+}
+type BookSeries {
+	contains: [Book] @required @uniqueForTarget
+}
+type Publisher {
+	published: [Book] @uniqueForTarget @requiredForTarget
+}`, []string{"Author", "Editor", "Book", "BookSeries", "Publisher", "Ghost"}, []string{"Author", "Editor"}}
+
 // randomGraphDelta builds a batch of mutations that Apply accepts:
 // every referenced element is live, removals are not duplicated, and
 // removed nodes never collide with explicitly removed edges. Faults
 // (wrong value types, unknown labels, deleted required properties,
 // duplicate edges) are deliberately common so splicing is exercised in
 // both directions — new violations appearing and old ones clearing.
-func randomGraphDelta(g *pg.Graph, rnd *rand.Rand) pg.Delta {
+// Three mutators move nodes between the @key buckets of the keyed
+// labels: one copies a keyed node's name onto another (joining its
+// bucket), one moves, relabels or removes the anchor of a conflict
+// bucket, and one relabels a conflict bucket's member away from the
+// keyed types.
+func randomGraphDelta(g *pg.Graph, rnd *rand.Rand, nodeLabels, keyed []string) pg.Delta {
 	var d pg.Delta
 	nodes := g.Nodes()
 	edges := g.Edges()
-	nodeLabels := []string{"Author", "Book", "BookSeries", "Publisher", "Ghost"}
 	edgeLabels := []string{"favoriteBook", "relatedAuthor", "author", "contains", "published", "bogus"}
 	propVal := func() values.Value {
 		if rnd.Intn(2) == 0 {
@@ -67,8 +114,43 @@ func randomGraphDelta(g *pg.Graph, rnd *rand.Rand) pg.Delta {
 	}
 	propNames := []string{"name", "title", "age", "pages", "stray"}
 	edgeProps := []string{"since", "role", "stray"}
+	removeNode := func(n pg.NodeID) {
+		dup := false
+		for _, x := range d.RemoveNodes {
+			dup = dup || x == n
+		}
+		for _, x := range d.RemoveEdges {
+			s, dst := g.Endpoints(x)
+			dup = dup || s == n || dst == n
+		}
+		if !dup {
+			d.RemoveNodes = append(d.RemoveNodes, n)
+		}
+	}
+	// The keyed nodes as of the delta's start, label by label in id
+	// order, and their name buckets in first-member order.
+	var keyedNodes []pg.NodeID
+	bucketOf := make(map[string][]pg.NodeID)
+	var conflicts [][]pg.NodeID
+	for _, l := range keyed {
+		ids := g.NodesLabeled(l)
+		slices.Sort(ids)
+		keyedNodes = append(keyedNodes, ids...)
+		for _, v := range ids {
+			val, ok := g.NodeProp(v, "name")
+			key := string(pg.AppendKeyPart(nil, val, ok))
+			bucketOf[key] = append(bucketOf[key], v)
+		}
+	}
+	for _, v := range keyedNodes {
+		for _, b := range bucketOf {
+			if len(b) >= 2 && b[0] == v {
+				conflicts = append(conflicts, b)
+			}
+		}
+	}
 	for ops := 1 + rnd.Intn(5); ops > 0; ops-- {
-		switch rnd.Intn(7) {
+		switch rnd.Intn(10) {
 		case 0:
 			d.AddEdges = append(d.AddEdges, pg.AddEdgeSpec{
 				Src: anyNode(), Dst: anyNode(),
@@ -106,19 +188,42 @@ func randomGraphDelta(g *pg.Graph, rnd *rand.Rand) pg.Delta {
 			}
 		case 6:
 			if rnd.Intn(2) == 0 {
-				n := nodes[rnd.Intn(len(nodes))]
-				dup := false
-				for _, x := range d.RemoveNodes {
-					dup = dup || x == n
-				}
-				for _, x := range d.RemoveEdges {
-					s, dst := g.Endpoints(x)
-					dup = dup || s == n || dst == n
-				}
-				if !dup {
-					d.RemoveNodes = append(d.RemoveNodes, n)
+				removeNode(nodes[rnd.Intn(len(nodes))])
+			}
+		case 7: // join: copy one keyed node's name onto another
+			if len(keyedNodes) >= 2 {
+				from, to := keyedNodes[rnd.Intn(len(keyedNodes))], keyedNodes[rnd.Intn(len(keyedNodes))]
+				if name, ok := g.NodeProp(from, "name"); ok {
+					d.SetNodeProps = append(d.SetNodeProps, pg.NodePropSpec{Node: to, Name: "name", Value: name})
+				} else {
+					d.DelNodeProps = append(d.DelNodeProps, pg.NodePropDelSpec{Node: to, Name: "name"})
 				}
 			}
+		case 8: // move, relabel or remove a conflict bucket's anchor
+			if len(conflicts) > 0 {
+				anchor := conflicts[rnd.Intn(len(conflicts))][0]
+				switch rnd.Intn(3) {
+				case 0:
+					d.SetNodeProps = append(d.SetNodeProps, pg.NodePropSpec{Node: anchor, Name: "name", Value: propVal()})
+				case 1:
+					d.RelabelNodes = append(d.RelabelNodes, pg.RelabelSpec{Node: anchor, Label: keyed[rnd.Intn(len(keyed))]})
+				default:
+					removeNode(anchor)
+				}
+			}
+		case 9: // relabel a conflict bucket's member away from the keyed types
+			if len(conflicts) > 0 {
+				b := conflicts[rnd.Intn(len(conflicts))]
+				d.RelabelNodes = append(d.RelabelNodes, pg.RelabelSpec{
+					Node: b[rnd.Intn(len(b))], Label: []string{"Book", "Ghost"}[rnd.Intn(2)],
+				})
+			}
+		}
+	}
+	// Fresh keyed nodes join the buckets of the names propVal draws.
+	for i := range d.AddNodes {
+		if rnd.Intn(2) == 0 {
+			d.AddNodes[i].Label = keyed[rnd.Intn(len(keyed))]
 		}
 	}
 	return d
@@ -131,8 +236,16 @@ func randomGraphDelta(g *pg.Graph, rnd *rand.Rand) pg.Delta {
 // the rule-by-rule oracle byte-for-byte, and the next step's prev is
 // the spliced result itself — so a single splice error would compound
 // and surface.
-func TestDifferentialRevalidateDeltas(t *testing.T) {
-	s := buildDiff(t, diffSchema)
+func TestDifferentialRevalidateDeltas(t *testing.T) { differentialRevalidate(t, objectKeySchema) }
+
+// TestDifferentialRevalidateInterfaceKey is the same differential over
+// interfaceKeySchema: key buckets merged across two labels.
+func TestDifferentialRevalidateInterfaceKey(t *testing.T) {
+	differentialRevalidate(t, interfaceKeySchema)
+}
+
+func differentialRevalidate(t *testing.T, sc revalSchema) {
+	s := buildDiff(t, sc.sdl)
 	ctx := context.Background()
 	const seeds = 20
 	for seed := int64(0); seed < seeds; seed++ {
@@ -179,13 +292,17 @@ func TestDifferentialRevalidateDeltas(t *testing.T) {
 						if inc.Incomplete {
 							t.Fatalf("%s: mode %s cfg %s: unexpected Incomplete", step, diffModes[mi].name, revalConfigs[ci].name)
 						}
+						if n := validate.MissingKeyNotes(inc); n > 0 {
+							t.Fatalf("%s: mode %s cfg %s: %d key conflicts lost their bucket, so the next Revalidate would fall back to a full run",
+								step, diffModes[mi].name, revalConfigs[ci].name, n)
+						}
 						prev[k] = inc
 					}
 				}
 			}
 
 			for step := 0; step < 8; step++ {
-				d := randomGraphDelta(g, rnd)
+				d := randomGraphDelta(g, rnd, sc.nodeLabels, sc.keyed)
 				u, err := g.Apply(d)
 				if err != nil {
 					t.Fatalf("step %d: apply: %v (delta %+v)", step, err, d)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pgschema/internal/pg"
+	"pgschema/internal/schema"
 	"pgschema/internal/values"
 )
 
@@ -150,5 +151,50 @@ func TestRevalidateClearsFixedViolation(t *testing.T) {
 	got := Revalidate(context.Background(), s, g, prev, Delta{Nodes: []pg.NodeID{u}}, Options{})
 	if !got.OK() {
 		t.Errorf("fixed violation still reported: %v", got.Violations)
+	}
+}
+
+// keyedConflict builds a graph of four Keyed nodes where the first
+// three agree on their key, validated into a result reporting the one
+// conflict.
+func keyedConflict(t *testing.T) (*schema.Schema, *pg.Graph, *Result) {
+	t.Helper()
+	s := build(t, `type Keyed @key(fields: ["k"]) { k: ID! @required }`)
+	g := pg.New()
+	for _, k := range []string{"a", "a", "a", "b"} {
+		v := g.AddNode("Keyed")
+		g.SetNodeProp(v, "k", values.ID(k))
+	}
+	prev := Validate(s, g, Options{})
+	if len(prev.Violations) != 1 || prev.Violations[0].Rule != DS7 || prev.Violations[0].Node != 0 {
+		t.Fatalf("setup: %v", prev.Violations)
+	}
+	return s, g, prev
+}
+
+// TestRevalidateRemovedKeyAnchor re-checks a conflict whose anchor was
+// removed even when the delta omits the removal: the bucket is found
+// through the violation's recorded tuple, not through a delta node.
+func TestRevalidateRemovedKeyAnchor(t *testing.T) {
+	s, g, prev := keyedConflict(t)
+	g.RemoveNode(0)
+	got := Revalidate(context.Background(), s, g, prev, Delta{}, Options{})
+	want := Validate(s, g, Options{})
+	if len(got.Violations) != 1 || got.Violations[0] != want.Violations[0] || got.Violations[0].Node != 1 {
+		t.Errorf("incremental %v, full %v", got.Violations, want.Violations)
+	}
+}
+
+// TestRevalidateWithoutKeyNotes falls back to a full run when prev
+// reports a key conflict to re-check but carries no recorded bucket for
+// it (a result assembled outside this package).
+func TestRevalidateWithoutKeyNotes(t *testing.T) {
+	s, g, prev := keyedConflict(t)
+	bare := &Result{Violations: prev.Violations}
+	g.SetNodeProp(0, "k", values.ID("b")) // the anchor leaves "a" and joins "b"
+	got := Revalidate(context.Background(), s, g, bare, Delta{Nodes: []pg.NodeID{0}}, Options{})
+	want := Validate(s, g, Options{})
+	if len(got.Violations) != 2 || got.Violations[0] != want.Violations[0] || got.Violations[1] != want.Violations[1] {
+		t.Errorf("incremental %v, full %v", got.Violations, want.Violations)
 	}
 }

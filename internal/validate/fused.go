@@ -3,7 +3,6 @@ package validate
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 	"time"
 
 	"pgschema/internal/pg"
@@ -28,9 +27,10 @@ import (
 // flat label arrays, CSR adjacency of live edges, flattened property
 // rows, and per-sym presence bitsets, so the hot loops touch contiguous
 // memory instead of chasing node/edge structs. Two rules quantify
-// globally: DS4 iterates each @requiredForTarget declaration's
-// precomputed target enumeration (chunkable like the passes), and DS7
-// buckets nodes per type and stays a single task.
+// globally, both over the snapshot's shared indexes: DS4 iterates each
+// @requiredForTarget declaration's target enumeration, and DS7 each
+// @key declaration's list of key conflicts; both are chunkable like the
+// passes.
 //
 // Parallel runs split every pass into many contiguous element chunks
 // claimed off an atomic cursor — work stealing without deques. A skewed
@@ -892,26 +892,37 @@ func (r *runner) fusedEdgeCheck(w fusedWant, emit emitFunc, e pg.EdgeID, els pg.
 }
 
 // ds4Fused evaluates DS4 for the declaration's target nodes in [lo, hi)
-// of its bound enumeration; decl < 0 means every declaration over its
-// full range (the unchunked task shape). Emitted violations match
-// runner.ds4 byte for byte: the declarations are compiled in
-// relationshipDeclarations order and the targets come from the same
-// bound enumeration ds4 iterates.
+// of its enumeration — the snapshot's node lists of its target labels,
+// concatenated; decl < 0 means every declaration over its full range
+// (the unchunked task shape).
 func (r *runner) ds4Fused(emit emitFunc, decl, lo, hi int) {
 	b := r.bind
 	if decl < 0 {
 		for d := range b.reqTargets {
-			r.ds4Decl(emit, &b.reqTargets[d], 0, len(b.reqTargets[d].targets))
+			r.ds4Fused(emit, d, 0, b.targetCount(d))
 		}
 		return
 	}
-	r.ds4Decl(emit, &b.reqTargets[decl], lo, hi)
+	rt := &b.reqTargets[decl]
+	for _, l := range rt.targetLabels {
+		nodes := b.snap.LabelNodes(l)
+		for _, v2 := range nodes[min(lo, len(nodes)):min(hi, len(nodes))] {
+			r.ds4Check(emit, rt, v2)
+		}
+		lo, hi = max(lo-len(nodes), 0), hi-len(nodes)
+		if hi <= 0 {
+			return
+		}
+	}
 }
 
-func (r *runner) ds4Decl(emit emitFunc, rt *boundReqTarget, lo, hi int) {
-	for _, v2 := range rt.targets[lo:hi] {
-		r.ds4Check(emit, rt, v2)
+// targetCount is the size of declaration d's DS4 target enumeration.
+func (b *binding) targetCount(d int) int {
+	n := 0
+	for _, l := range b.reqTargets[d].targetLabels {
+		n += len(b.snap.LabelNodes(l))
 	}
+	return n
 }
 
 // ds4Check tests one candidate target node against one declaration —
@@ -962,14 +973,15 @@ func (r *runner) ds4DirtyPass(emit emitFunc, list []pg.NodeID, lo, hi int) {
 }
 
 // fusedChunk is one stealable unit of fused work: a contiguous element
-// range of a node pass, edge pass, or one DS4 declaration's target
-// enumeration — or the whole DS7 pass, which buckets globally. A
-// non-nil nodes/edges list redirects the range into that list, and each
-// chunk carries its own rule set — incremental revalidation chunks its
-// dirty sets this way, with different rules active per region.
+// range of a node pass, edge pass, one DS4 declaration's target
+// enumeration, one DS7 declaration's key conflicts, or the DS7 buckets
+// an incremental run re-checks. A non-nil nodes/edges list redirects
+// the range into that list, and each chunk carries its own rule set —
+// incremental revalidation chunks its dirty sets this way, with
+// different rules active per region.
 type fusedChunk struct {
 	kind   fusedTaskKind
-	decl   int // DS4: index into binding.reqTargets; -1 = all
+	decl   int // DS4/DS7: index into binding.reqTargets/keys; -1 = all
 	lo, hi int
 	w      fusedWant
 	nodes  []pg.NodeID
@@ -984,39 +996,18 @@ const (
 	taskDS4
 	taskDS4Dirty
 	taskDS7
-	taskDS7Range
+	taskDS7Dirty
 
 	numTaskKinds // count, for per-kind feedback accumulators
 )
 
 // span is the chunk's element span, for the scheduler's chunk-size
-// histogram; whole-pass markers (DS4 all, whole DS7) count as 1.
+// histogram; whole-pass markers (DS4 all, DS7 all) count as 1.
 func (t *fusedChunk) span() int {
 	if n := t.hi - t.lo; n > 0 {
 		return n
 	}
 	return 1
-}
-
-// ds7Range emits the DS7 violations of the binding's conflict groups in
-// [lo, hi) — the chunkable form of the bound unrestricted DS7 sweep.
-// The groups are exactly the ≥2-node key buckets, in deterministic
-// order; callers must have built the key index (fused does, before
-// planning).
-func (r *runner) ds7Range(emit emitFunc, lo, hi int) {
-	b := r.bind
-	for i := lo; i < hi; i++ {
-		grp := &b.ds7Groups[i]
-		if r.drop() {
-			continue
-		}
-		emit(Violation{
-			Rule: DS7, Node: grp.nodes[0], Edge: -1,
-			TypeName: grp.typeName,
-			Message: fmt.Sprintf("%d nodes (%s, %s, …) of type %s agree on key {%s}, violating @key",
-				len(grp.nodes), nodeRef(grp.nodes[0]), nodeRef(grp.nodes[1]), grp.typeName, strings.Join(grp.keyFields, ", ")),
-		})
-	}
 }
 
 // run executes the chunk, emitting into emit. Dense ranges (nil
@@ -1040,10 +1031,10 @@ func (t fusedChunk) run(r *runner, sc *fusedScratch, emit emitFunc) {
 		r.ds4Fused(emit, t.decl, t.lo, t.hi)
 	case taskDS4Dirty:
 		r.ds4DirtyPass(emit, t.nodes, t.lo, t.hi)
-	case taskDS7Range:
-		r.ds7Range(emit, t.lo, t.hi)
-	default:
-		r.ds7(emit)
+	case taskDS7:
+		r.ds7(emit, t.decl, t.lo, t.hi)
+	default: // taskDS7Dirty
+		r.ds7Buckets(emit, t.lo, t.hi)
 	}
 }
 
@@ -1057,7 +1048,7 @@ func (t fusedChunk) rules() []Rule {
 		return t.w.active(edgePassRules)
 	case taskDS4, taskDS4Dirty:
 		return []Rule{DS4}
-	default: // taskDS7, taskDS7Range
+	default: // taskDS7, taskDS7Dirty
 		return []Rule{DS7}
 	}
 }
@@ -1133,8 +1124,8 @@ func appendRangeChunks(chunks []fusedChunk, kind fusedTaskKind, decl, bound, spa
 // planFusedChunks plans the work units for the requested rules. Without
 // ElementSharding each pass is one whole chunk (coarse tasks); with it
 // the node and edge passes and every DS4 declaration split into many
-// range chunks for the stealing cursor, and DS7 chunks its key-conflict
-// groups.
+// range chunks for the stealing cursor, as does every DS7 declaration's
+// conflict list.
 func (r *runner) planFusedChunks(w fusedWant, sharded bool, workers int, chunks []fusedChunk) []fusedChunk {
 	b := r.bind
 	nodePass := len(w.active(nodePassRules)) > 0
@@ -1168,16 +1159,18 @@ func (r *runner) planFusedChunks(w fusedWant, sharded bool, workers int, chunks 
 	}
 	if w.ds4 {
 		for d := range b.reqTargets {
-			bound := len(b.reqTargets[d].targets)
+			bound := b.targetCount(d)
 			chunks = appendRangeChunks(chunks, taskDS4, d, bound, adaptiveSpan(taskDS4, bound, workers, fb))
 		}
 	}
 	if w.ds7 {
-		// The key index was built by fused() before planning; the DS7 pass
-		// chunks bucket-group ranges, so a key-heavy graph no longer
-		// serializes the run behind one whole-pass task.
-		bound := len(b.ds7Groups)
-		chunks = appendRangeChunks(chunks, taskDS7Range, -1, bound, adaptiveSpan(taskDS7Range, bound, workers, fb))
+		// Planning reads the conflict lists' lengths, so the key indexes
+		// are built here, outside the timed chunks; a key-heavy graph
+		// then splits its conflicts across workers.
+		for d := range b.keys {
+			bound := len(b.keyConflicts(d))
+			chunks = appendRangeChunks(chunks, taskDS7, d, bound, adaptiveSpan(taskDS7, bound, workers, fb))
+		}
 	}
 	for i := range chunks {
 		chunks[i].w = w
@@ -1213,12 +1206,6 @@ func attribute(timings map[Rule]time.Duration, rules []Rule, elapsed time.Durati
 func (r *runner) fused(p *Program, rules []Rule, c *collector) (map[Rule]time.Duration, *sched.Stats) {
 	r.bind = p.bindTo(r.g)
 	w := wantRules(rules)
-	if w.ds4 {
-		// The full-sweep DS4 tasks range over the bound target
-		// enumerations; materialize them before planning reads their
-		// lengths. (Dirty-list runs plan their own chunks and skip this.)
-		r.bind.ensureNodes()
-	}
 	if len(w.active(nodePassRules)) > 0 || len(w.active(edgePassRules)) > 0 {
 		// The dense passes walk the live bitsets; build them outside the
 		// timed chunks so the first chunk isn't charged for the build.
@@ -1229,12 +1216,6 @@ func (r *runner) fused(p *Program, rules []Rule, c *collector) (map[Rule]time.Du
 		workers = 1
 	}
 	sharded := r.opts.Workers > 1 && r.opts.ElementSharding
-	if w.ds7 && sharded {
-		// Materialize the key index so planning can range over the
-		// conflict groups (the same work the whole-pass DS7 task would
-		// have done serially inside one chunk).
-		r.bind.keyIndex(r.s)
-	}
 	cb := p.getChunkBuf()
 	cb.chunks = r.planFusedChunks(w, sharded, workers, cb.chunks[:0])
 	timings, st := r.runChunks(cb.chunks, rules, c)

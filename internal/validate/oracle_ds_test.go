@@ -2,6 +2,8 @@ package validate
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"pgschema/internal/pg"
 	"pgschema/internal/schema"
@@ -256,4 +258,59 @@ func (r *oracle) ds6(emit emitFunc) {
 			}
 		}
 	}
+}
+
+// ds7 — DS7 (@key: key properties identify nodes): if
+// (@key, {fields: [f1 … fn]}) ∈ directivesT(t), any two nodes of types
+// ⊑ t that agree on every key property (both absent, or both present and
+// equal — considering only the fi whose type at t is scalar) must be the
+// same node. The definitional sweep: bucket every node of the type by
+// its rendered key tuple and report each bucket of two or more, anchored
+// on its first node in ConcreteTargets order, ascending within a label.
+func (r *oracle) ds7(emit emitFunc) {
+	for _, td := range r.s.Types() {
+		for _, keyFields := range td.KeyFieldSets() {
+			var attrs []string
+			for _, f := range keyFields {
+				if fd := td.Field(f); fd != nil && r.s.IsAttribute(fd) {
+					attrs = append(attrs, f)
+				}
+			}
+			buckets := make(map[string][]pg.NodeID)
+			for _, label := range r.s.ConcreteTargets(td.Name) {
+				nodes := r.g.NodesLabeled(label)
+				slices.Sort(nodes) // a relabeled node sits at the end of its label's list
+				for _, v := range nodes {
+					var key []byte
+					for _, f := range attrs {
+						val, ok := r.g.NodeProp(v, f)
+						key = pg.AppendKeyPart(key, val, ok)
+					}
+					buckets[string(key)] = append(buckets[string(key)], v)
+				}
+			}
+			for _, nodes := range buckets {
+				if len(nodes) < 2 || r.drop() {
+					continue
+				}
+				emit(Violation{
+					Rule: DS7, Node: nodes[0], Edge: -1,
+					TypeName: td.Name,
+					Message: fmt.Sprintf("%d nodes (%s, %s, …) of type %s agree on key {%s}, violating @key",
+						len(nodes), nodeRef(nodes[0]), nodeRef(nodes[1]), td.Name, strings.Join(keyFields, ", ")),
+				})
+			}
+		}
+	}
+}
+
+// nodesOfType yields the nodes v with λ(v) ⊑S t for a named type t
+// (object type: one label; interface/union: the implementing/member
+// labels), through the row store's label lists.
+func (r *oracle) nodesOfType(named string) []pg.NodeID {
+	var out []pg.NodeID
+	for _, label := range r.s.ConcreteTargets(named) {
+		out = append(out, r.g.NodesLabeled(label)...)
+	}
+	return out
 }

@@ -5,9 +5,10 @@ package validate
 // (oracle_ws_test.go, oracle_ss_test.go, oracle_ds_test.go) read the
 // graph through its row-store accessors and never touch the compiled
 // program or the columnar snapshot, so they share no evaluation code
-// with the fused engine except DS7 (ds.go), whose unbound sweep is the
-// one Revalidate runs. The differential harnesses compare every fused
-// configuration against this oracle byte for byte.
+// with the fused engine — DS7 included: the oracle buckets every keyed
+// type's nodes itself, while production reads the snapshot's shared key
+// index and revalidates bucket by bucket. The differential harnesses
+// compare every fused configuration against this oracle byte for byte.
 
 import (
 	"context"

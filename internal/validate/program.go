@@ -45,6 +45,12 @@ type Program struct {
 	// of each declaration, resolved at bind time.
 	reqTargets []*schema.FieldDef
 
+	// keys lists the @key declarations in declaration order (types
+	// sorted by name, directives in source order) — DS7's unit of
+	// quantification. Their buckets live in the snapshot's shared key
+	// indexes (pg.Snapshot.KeyConflicts, KeyBucketIn).
+	keys []keyDecl
+
 	compileTime  time.Duration
 	nFields      int
 	nObligations int
@@ -118,6 +124,15 @@ type compiledArg struct {
 type compiledSrc struct {
 	fd                          *schema.FieldDef
 	distinct, noLoops, required bool
+}
+
+// keyDecl is one @key declaration: nodes of a type ⊑ typeName must not
+// agree on every key attribute.
+type keyDecl struct {
+	typeName   string
+	keyFields  string   // the declared field list, joined for messages
+	attrs      []string // the key fields that are attributes at typeName
+	labelNames []string // ConcreteTargets(typeName)
 }
 
 // compiledUft is one @uniqueForTarget declaration applicable to a label
@@ -242,6 +257,17 @@ func CompileContext(ctx context.Context, s *schema.Schema) (*Program, error) {
 			}
 		}
 	}
+	for _, td := range s.Types() {
+		for _, keyFields := range td.KeyFieldSets() {
+			k := keyDecl{typeName: td.Name, keyFields: strings.Join(keyFields, ", "), labelNames: s.ConcreteTargets(td.Name)}
+			for _, f := range keyFields {
+				if fd := td.Field(f); fd != nil && s.IsAttribute(fd) {
+					k.attrs = append(k.attrs, f)
+				}
+			}
+			p.keys = append(p.keys, k)
+		}
+	}
 	// Obligation masks, computed after the directive buckets are final.
 	for _, lp := range p.labels {
 		if lp.td.Kind != schema.Object {
@@ -307,12 +333,16 @@ func (p *Program) Stats() ProgramStats {
 }
 
 // binding joins a compiled program to one graph at one epoch: label
-// lookup tables re-indexed by the graph's interned Syms, plus the
-// (lazily built) per-type node enumerations. Its visible state is
-// immutable once built; the lazy parts are materialized at most once
-// under sync.Once guards and must be first requested while the graph is
-// still at the binding's epoch — which every caller guarantees, since a
-// validation run holds the graph un-mutated for its duration.
+// lookup tables re-indexed by the graph's interned Syms, and the DS4
+// and DS7 declarations resolved to Syms. The node enumerations and key
+// buckets those rules quantify over are not held here: they are the
+// snapshot's shared indexes (pg.Snapshot.LabelNodes, KeyConflicts,
+// KeyBucketIn), built lazily once per snapshot and read by query plans
+// too. Its visible state is immutable once built; the lazy kernels are
+// materialized at most once under a sync.Once guard and must be first
+// requested while the graph is still at the binding's epoch — which
+// every caller guarantees, since a validation run holds the graph
+// un-mutated for its duration.
 type binding struct {
 	p        *Program
 	g        *pg.Graph
@@ -333,35 +363,14 @@ type binding struct {
 	labels     []*boundLabel
 	labelNames []string
 
-	// nodesOf caches nodesOfType for every named type of the schema. It
-	// is built on first use (guarded by nodesOnce): full fused runs need
-	// it only for DS4/DS7, and incremental revalidation not at all — a
-	// delta-sized run must not pay an O(V) enumeration rebuild.
-	nodesOnce sync.Once
-	nodesOf   map[string][]pg.NodeID
-
 	// reqTargets is Program.reqTargets bound to the graph: field-name
-	// syms, owner nameIDs, and the per-declaration target-label sym set
-	// (targetSyms) are bound eagerly; each declaration's target-node
-	// enumeration — DS4's chunkable element space in full runs — is
-	// filled by ensureNodes alongside nodesOf.
+	// syms, owner nameIDs, the per-declaration target-label sym set
+	// (targetSyms) and the target labels whose snapshot enumerations
+	// form DS4's chunkable element space in full runs.
 	reqTargets []boundReqTarget
 
-	// keyed caches DS7's key buckets per (type, key-field set). Bucket
-	// contents depend only on property values, so they are as
-	// epoch-stable as the rest of the binding; they are built lazily
-	// (guarded by keyOnce) because only unrestricted DS7 sweeps use them
-	// — incremental revalidation rebuilds buckets for the affected types
-	// alone, which is cheaper than indexing every keyed type.
-	keyOnce sync.Once
-	keyed   []boundKeySet
-
-	// ds7Groups flattens the key buckets with ≥ 2 nodes — the only ones
-	// DS7 can report — into one deterministic list (keysets in schema
-	// order, buckets in first-seen key order), so the sharded DS7 pass
-	// chunks bucket ranges instead of serializing behind one task.
-	// Built together with keyed under keyOnce.
-	ds7Groups []ds7Group
+	// keys is Program.keys bound to the graph, index for index.
+	keys []boundKey
 
 	// kern holds the dense-pass iteration bitsets (live nodes, live
 	// edges, per-label node sets for the word kernels), derived from the
@@ -372,13 +381,12 @@ type binding struct {
 	kern     *boundKernels
 }
 
-// ds7Group is one key-bucket conflict candidate: the nodes of one type
-// agreeing on one rendered key tuple (only buckets of ≥ 2 nodes are
-// kept).
-type ds7Group struct {
-	typeName  string
-	keyFields []string
-	nodes     []pg.NodeID
+// boundKey is a keyDecl resolved to graph Syms: the interned concrete
+// labels (in ConcreteTargets order) and the attribute syms (NoSym for
+// a name the graph never interned, which renders absent).
+type boundKey struct {
+	*keyDecl
+	labels, props []pg.Sym
 }
 
 // boundKernels are the word-at-a-time iteration sets of the dense fused
@@ -431,82 +439,6 @@ func (b *binding) kernels() *boundKernels {
 	return b.kern
 }
 
-// ensureNodes materializes the per-type node enumerations and the DS4
-// target enumerations, once. Callers must hold the graph at the
-// binding's epoch (see the binding contract above).
-func (b *binding) ensureNodes() {
-	b.nodesOnce.Do(func() {
-		nodesOf := make(map[string][]pg.NodeID)
-		for _, td := range b.p.s.Types() {
-			switch td.Kind {
-			case schema.Object, schema.Interface, schema.Union:
-				var out []pg.NodeID
-				for _, label := range b.p.s.ConcreteTargets(td.Name) {
-					out = append(out, b.g.NodesLabeled(label)...)
-				}
-				nodesOf[td.Name] = out
-			}
-		}
-		b.nodesOf = nodesOf
-		// DS4 declarations share the enumerations, so this costs one
-		// slice header per declaration.
-		for i := range b.reqTargets {
-			b.reqTargets[i].targets = nodesOf[b.reqTargets[i].fd.Type.Base()]
-		}
-	})
-}
-
-// boundKeySet is one @key declaration's bucket index: nodes of the type
-// grouped by their rendered key-attribute tuple.
-type boundKeySet struct {
-	typeName  string
-	keyFields []string
-	buckets   map[string][]pg.NodeID
-}
-
-// keyIndex returns the DS7 bucket index, building it on first use.
-func (b *binding) keyIndex(s *schema.Schema) []boundKeySet {
-	b.keyOnce.Do(func() {
-		b.ensureNodes()
-		for _, td := range s.Types() {
-			for _, keyFields := range td.KeyFieldSets() {
-				var attrs []string
-				for _, f := range keyFields {
-					if fd := td.Field(f); fd != nil && s.IsAttribute(fd) {
-						attrs = append(attrs, f)
-					}
-				}
-				buckets := make(map[string][]pg.NodeID)
-				var order []string // keys in first-seen (ascending node) order
-				for _, v := range b.nodesOf[td.Name] {
-					var sb strings.Builder
-					for _, f := range attrs {
-						val, ok := b.g.NodeProp(v, f)
-						pg.WriteKeyPart(&sb, val, ok)
-					}
-					key := sb.String()
-					if _, seen := buckets[key]; !seen {
-						order = append(order, key)
-					}
-					buckets[key] = append(buckets[key], v)
-				}
-				b.keyed = append(b.keyed, boundKeySet{typeName: td.Name, keyFields: keyFields, buckets: buckets})
-				// Sharded DS7 chunks ranges over the conflict groups; the
-				// first-seen key order keeps the group list deterministic
-				// where map iteration would not be.
-				for _, key := range order {
-					if nodes := buckets[key]; len(nodes) >= 2 {
-						b.ds7Groups = append(b.ds7Groups, ds7Group{
-							typeName: td.Name, keyFields: keyFields, nodes: nodes,
-						})
-					}
-				}
-			}
-		}
-	})
-	return b.keyed
-}
-
 // boundLabel is a labelProgram bound to the graph's symbol table — or,
 // for a label the schema does not declare, just the label with its
 // bind-time subtype row (td == nil).
@@ -527,6 +459,10 @@ type boundLabel struct {
 	// (undeclared labels owe only SS1). The dense node kernel ANDs it
 	// with the run's want mask per node.
 	oblig obligMask
+
+	// keys indexes binding.keys: the @key declarations whose types have
+	// this label as a concrete target.
+	keys []int
 }
 
 // fieldSlot is compiledField addressed by graph Sym. For relationship
@@ -573,15 +509,16 @@ type boundUft struct {
 
 // boundReqTarget is one @requiredForTarget declaration bound to the
 // graph: the edge-label sym, the owner's nameID for the source-subtype
-// test, the concrete-target label set as a per-Sym membership table
-// (incremental runs test candidates against it instead of enumerating),
-// and — once ensureNodes ran — the declaration's possible target nodes.
+// test, and the concrete target labels — as a list, whose snapshot
+// enumerations concatenated are the declaration's possible target
+// nodes, and as a per-Sym membership table, which incremental runs test
+// candidates against instead of enumerating.
 type boundReqTarget struct {
-	fd         *schema.FieldDef
-	sym        pg.Sym
-	ownerID    int32
-	targetSyms []bool // indexed by pg.Sym: label ∈ ConcreteTargets(fd.Type.Base())
-	targets    []pg.NodeID
+	fd           *schema.FieldDef
+	sym          pg.Sym
+	ownerID      int32
+	targetLabels []pg.Sym
+	targetSyms   []bool // indexed by pg.Sym: label ∈ ConcreteTargets(fd.Type.Base())
 }
 
 // schedFeedback is the run-to-run observation record the adaptive chunk
@@ -675,8 +612,8 @@ func (p *Program) autotuneWorkers(w int) int {
 // shares the old one's label tables if the symbol table and live label
 // set are unchanged — the common case for small mutations, where
 // rebuilding the per-label field/obligation tables would dwarf the
-// delta itself. Node enumerations are never carried over (they are
-// per-epoch), only re-derived lazily.
+// delta itself. Node enumerations and key buckets belong to the
+// epoch's snapshot, not to the binding.
 func (p *Program) bindTo(g *pg.Graph) *binding {
 	b := p.bound.Load()
 	if b != nil && b.g == g && b.epoch == g.Epoch() {
@@ -713,7 +650,7 @@ func sameLabels(names []string, g *pg.Graph) bool {
 // and field-name Syms, both append-only, so identical sym sets mean
 // identical tables.
 func (p *Program) rebind(old *binding, g *pg.Graph) *binding {
-	b := &binding{
+	return &binding{
 		p:          p,
 		g:          g,
 		epoch:      g.Epoch(),
@@ -721,13 +658,9 @@ func (p *Program) rebind(old *binding, g *pg.Graph) *binding {
 		snap:       g.Snapshot(),
 		labels:     old.labels,
 		labelNames: old.labelNames,
+		reqTargets: old.reqTargets,
+		keys:       old.keys,
 	}
-	b.reqTargets = make([]boundReqTarget, len(old.reqTargets))
-	for i, rt := range old.reqTargets {
-		rt.targets = nil // per-epoch; refilled by ensureNodes on demand
-		b.reqTargets[i] = rt
-	}
-	return b
 }
 
 func (p *Program) newBinding(g *pg.Graph) *binding {
@@ -792,8 +725,7 @@ func (p *Program) newBinding(g *pg.Graph) *binding {
 		b.labels[sym] = bl
 	}
 
-	// DS4 declarations: syms, owner IDs, and target-label membership are
-	// bound now; the target enumerations come from ensureNodes on demand.
+	// DS4 declarations: syms, owner IDs, and target labels.
 	for _, fd := range p.reqTargets {
 		rt := boundReqTarget{
 			fd:         fd,
@@ -803,10 +735,29 @@ func (p *Program) newBinding(g *pg.Graph) *binding {
 		}
 		for _, l := range p.s.ConcreteTargets(fd.Type.Base()) {
 			if s, ok := g.Sym(l); ok {
+				rt.targetLabels = append(rt.targetLabels, s)
 				rt.targetSyms[s] = true
 			}
 		}
 		b.reqTargets = append(b.reqTargets, rt)
+	}
+	// DS7 declarations: label and attribute syms, and each live label's
+	// declaration list for incremental revalidation.
+	b.keys = make([]boundKey, len(p.keys))
+	for d := range p.keys {
+		k := &b.keys[d]
+		k.keyDecl = &p.keys[d]
+		for _, l := range k.labelNames {
+			if s, ok := g.Sym(l); ok {
+				k.labels = append(k.labels, s)
+				if bl := b.labels[s]; bl != nil {
+					bl.keys = append(bl.keys, d)
+				}
+			}
+		}
+		for _, f := range k.attrs {
+			k.props = append(k.props, symOf(f))
+		}
 	}
 	return b
 }

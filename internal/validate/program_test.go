@@ -8,6 +8,7 @@ package validate
 // gen package imports validate and cannot be used here.
 
 import (
+	"context"
 	"strconv"
 	"testing"
 
@@ -161,7 +162,7 @@ func TestRevalidateWithProgram(t *testing.T) {
 
 	u := g.NodesLabeled("User")[0]
 	g.SetNodeProp(u, "login", values.Int(42)) // WS1
-	got := RevalidateWithOptions(s, g, prev, Delta{Nodes: []pg.NodeID{u}}, Options{Program: p})
+	got := Revalidate(context.Background(), s, g, prev, Delta{Nodes: []pg.NodeID{u}}, Options{Program: p})
 	want := Validate(s, g, Options{})
 	if len(got.Violations) != len(want.Violations) {
 		t.Fatalf("revalidate with program: got %v, want %v", got.Violations, want.Violations)

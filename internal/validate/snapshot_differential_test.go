@@ -10,6 +10,7 @@ package validate_test
 // both routes must agree with the heap baseline.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -112,7 +113,7 @@ func TestMappedSnapshotRevalidate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	inc := renderViolations(validate.RevalidateWithOptions(s, mg, prev, validate.DeltaFor(u.Touched()), opts))
+	inc := renderViolations(validate.Revalidate(context.Background(), s, mg, prev, validate.DeltaFor(u.Touched()), opts))
 	full := renderViolations(validate.Validate(s, mg, opts))
 	if inc != full {
 		t.Errorf("incremental revalidation on a mapped graph diverges:\n--- full ---\n%s--- incremental ---\n%s", full, inc)

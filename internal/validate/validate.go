@@ -142,6 +142,13 @@ type Result struct {
 	// was set (nil otherwise). Sequential runs report Workers == 1 stats
 	// with zero steals.
 	Sched *SchedStats
+
+	// keys maps each DS7 violation to the bucket it reports: its key
+	// declaration and the tuple its nodes agreed on when it was found.
+	// Revalidate re-checks those buckets, since the nodes that formed a
+	// conflict may since have changed their key or label. Filled for
+	// complete results; spliced results carry it forward.
+	keys map[Violation]keyBucket
 }
 
 // OK reports whether no violations were found.
@@ -322,6 +329,7 @@ type collector struct {
 	violations []Violation
 	max        int
 	overflow   bool // an emit was rejected: violations beyond max exist
+	keys       map[Violation]keyBucket
 }
 
 func newCollector(max int) *collector { return &collector{max: max} }
@@ -384,6 +392,17 @@ func (c *collector) merge(buf []Violation) {
 	c.violations = append(c.violations, buf...)
 }
 
+// noteKey records the bucket behind an emitted DS7 violation (see
+// Result.keys).
+func (c *collector) noteKey(v Violation, kb keyBucket) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.keys == nil {
+		c.keys = make(map[Violation]keyBucket)
+	}
+	c.keys[v] = kb
+}
+
 // truncated reports whether an emit was rejected by the cap, i.e. the
 // collected set is provably incomplete.
 func (c *collector) truncated() bool {
@@ -408,12 +427,16 @@ func (c *collector) result() *Result {
 		}
 		return a.Message < b.Message
 	})
-	return &Result{Violations: c.violations, Truncated: c.overflow}
+	res := &Result{Violations: c.violations, Truncated: c.overflow}
+	if !c.overflow {
+		// A truncated result never seeds Revalidate, and its notes may
+		// name violations the cap dropped.
+		res.keys = c.keys
+	}
+	return res
 }
 
-// runner binds a schema and graph for one validation run. onlyTypes,
-// when set, restricts DS7 to the types related to a delta — used by
-// Revalidate to make incremental checking cheap; nil means "all".
+// runner binds a schema and graph for one validation run.
 type runner struct {
 	s    *schema.Schema
 	g    *pg.Graph
@@ -425,8 +448,7 @@ type runner struct {
 	ctx context.Context
 
 	// bind is the compiled program bound to the graph, set by the fused
-	// engine and by Revalidate. The unrestricted DS7 sweep reads its
-	// cached key index.
+	// engine and by Revalidate.
 	bind *binding
 
 	// coll is the run's collector, consulted by drop() to skip
@@ -434,7 +456,9 @@ type runner struct {
 	// Nil means never drop.
 	coll *collector
 
-	onlyTypes map[string]bool
+	// keyBuckets lists the DS7 buckets an incremental run re-checks
+	// (see keyRegion).
+	keyBuckets []keyBucket
 }
 
 // drop reports whether the imminent violation should be skipped because
@@ -444,20 +468,6 @@ func (r *runner) drop() bool { return r.coll != nil && r.coll.dropFull() }
 
 // cancelled reports whether the run's context has been cancelled.
 func (r *runner) cancelled() bool { return r.ctx != nil && r.ctx.Err() != nil }
-
-// typeAllowed reports whether DS7 should consider the type under the
-// restriction (a type is relevant when an affected label is ⊑ it).
-func (r *runner) typeAllowed(name string) bool {
-	if r.onlyTypes == nil {
-		return true
-	}
-	for label := range r.onlyTypes {
-		if r.s.SubtypeNamed(label, name) {
-			return true
-		}
-	}
-	return false
-}
 
 type emitFunc func(Violation)
 

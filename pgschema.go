@@ -40,16 +40,16 @@
 // server timeouts and client disconnects cancel in-flight work:
 //
 //   - Revalidate(ctx, s, g, prev, delta, opts) replaces both the old
-//     Revalidate(s, g, prev, delta) and RevalidateWithOptions — pass
-//     ValidateOptions{} for the old default behavior;
+//     Revalidate(s, g, prev, delta) and the removed
+//     RevalidateWithOptions(s, g, prev, delta, opts) — pass
+//     context.Background() for the old behavior;
 //   - ValidateGraphContext(ctx, s, g, opts) is ValidateGraph under a
 //     context;
 //   - CompileValidationContext(ctx, s) is CompileValidation under a
 //     context.
 //
-// The pre-context forms (ValidateGraph, CompileValidation,
-// RevalidateWithOptions) remain as thin wrappers over a background
-// context; RevalidateWithOptions is deprecated in favour of Revalidate.
+// The pre-context forms ValidateGraph (deprecated) and
+// CompileValidation remain as thin wrappers over a background context.
 // A cancelled run returns a result with Incomplete set — such a result
 // carries whatever violations were found, but must not seed a later
 // Revalidate.
@@ -306,13 +306,6 @@ func DeltaFor(t Touched) Delta { return validate.DeltaFor(t) }
 // Revalidate falls back to a full run.
 func Revalidate(ctx context.Context, s *Schema, g *Graph, prev *ValidationResult, delta Delta, opts ValidateOptions) *ValidationResult {
 	return validate.Revalidate(ctx, s, g, prev, delta, opts)
-}
-
-// RevalidateWithOptions is the pre-context form of Revalidate.
-//
-// Deprecated: use Revalidate, which takes the run context first.
-func RevalidateWithOptions(s *Schema, g *Graph, prev *ValidationResult, delta Delta, opts ValidateOptions) *ValidationResult {
-	return validate.RevalidateWithOptions(s, g, prev, delta, opts)
 }
 
 // CheckType decides object-type satisfiability for the named type.
