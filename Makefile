@@ -2,9 +2,9 @@
 # under the race detector, and keep the fused engine in agreement with
 # its test oracles (the differential harness runs under -race as part of
 # `race`; the dedicated `differential` target re-runs just it, shuffled).
-.PHONY: check build vet test race api-golden differential fuzz-smoke fuzz-snapshot-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke bench-serve scale-smoke scale-differential stream-smoke snapshot-differential clean
+.PHONY: check build vet test race api-golden differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke bench-serve scale-smoke scale-differential stream-smoke snapshot-differential clean
 
-check: build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
+check: build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke fuzz-json-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
 
 build:
 	go build ./...
@@ -40,6 +40,13 @@ differential:
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzParse -fuzztime 10s ./internal/query/
 
+# A short coverage-guided run of the response-writer fuzz target: for
+# arbitrary strings, integers and floats, the fast JSON writer must emit
+# the bytes encoding/json's indenting Encoder emits, or fail with its
+# error.
+fuzz-json-smoke:
+	go test -run '^$$' -fuzz FuzzWriteJSON -fuzztime 10s ./internal/server/
+
 bench:
 	go test -bench=. -benchmem -run=^$$ ./...
 
@@ -47,7 +54,7 @@ bench:
 # compile or fail their own assertions, without measuring anything. The
 # comparisons against test oracles live in the internal packages.
 bench-smoke:
-	go test -bench=. -benchtime=1x -run=^$$ . ./internal/validate/ ./internal/query/ ./internal/pg/
+	go test -bench=. -benchtime=1x -run=^$$ . ./internal/validate/ ./internal/query/ ./internal/pg/ ./internal/server/
 
 # Fused-engine ablation: fused vs. the rule-by-rule and naive pair-scan
 # test oracles. Emits benchstat-compatible output to BENCH_fused.json

@@ -40,7 +40,7 @@ func TestFacadeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{})
+	res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{})
 	if !res.OK() {
 		t.Fatalf("generated graph invalid: %v", res.Violations)
 	}
@@ -102,7 +102,11 @@ func TestFacadeRoundTrip(t *testing.T) {
 	if !strings.Contains(api, "allUsers") {
 		t.Errorf("API schema:\n%s", api)
 	}
-	out, err := pgschema.ExecuteQuery(s, g, `{ allUsers { __typename } }`)
+	doc, err := pgschema.ParseQuery(`{ allUsers { __typename } }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := pgschema.ExecuteQueryContext(context.Background(), s, g, doc, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func BenchmarkE1CardinalityTable(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{})
+				res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{})
 				if !res.OK() {
 					b.Fatal("generated graph invalid")
 				}
@@ -109,7 +109,7 @@ func BenchmarkE2ValidationScaling(b *testing.B) {
 			s, g := benchGraph(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{})
+				res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{})
 				if !res.OK() {
 					b.Fatal("generated graph invalid")
 				}
@@ -131,7 +131,7 @@ func BenchmarkE2ParallelSpeedup(b *testing.B) {
 				opts := pgschema.ValidateOptions{Workers: workers, ElementSharding: sharding}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := pgschema.ValidateGraph(s, g, opts)
+					res := pgschema.ValidateGraphContext(context.Background(), s, g, opts)
 					if !res.OK() {
 						b.Fatal("generated graph invalid")
 					}
@@ -250,7 +250,7 @@ func BenchmarkE7PerRuleCost(b *testing.B) {
 			opts := pgschema.ValidateOptions{Rules: []pgschema.Rule{rule}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pgschema.ValidateGraph(s, g, opts)
+				pgschema.ValidateGraphContext(context.Background(), s, g, opts)
 			}
 		})
 	}
@@ -293,13 +293,13 @@ func BenchmarkAblationSatPortfolio(b *testing.B) {
 // incremental engine after a single point mutation on a large graph.
 func BenchmarkAblationIncremental(b *testing.B) {
 	s, g := benchGraph(b, 5000)
-	base := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{})
+	base := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{})
 	authors := g.NodesLabeled("Author")
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			a := authors[i%len(authors)]
 			g.SetNodeProp(a, "name", pgschema.String(fmt.Sprintf("renamed-%d", i)))
-			res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{})
+			res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{})
 			base = res
 		}
 	})
@@ -350,7 +350,7 @@ func BenchmarkScale(b *testing.B) {
 		elems := g.NumNodes() + g.NumEdges()
 		// Warm the program binding and columnar snapshot so their one-time
 		// construction is not billed to whichever config runs first.
-		pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{Workers: 1, Program: prog})
+		pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{Workers: 1, Program: prog})
 		for _, workers := range []int{1, 2, 4, 8} {
 			name := fmt.Sprintf("elems=%d/workers=%d", elems, workers)
 			b.Run(name, func(b *testing.B) {
@@ -361,7 +361,7 @@ func BenchmarkScale(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					res := pgschema.ValidateGraph(s, g, opts)
+					res := pgschema.ValidateGraphContext(context.Background(), s, g, opts)
 					if !res.OK() {
 						b.Fatal("generated graph invalid")
 					}
@@ -382,7 +382,7 @@ func BenchmarkScale(b *testing.B) {
 					// efficiency from the scheduler itself.
 					tOpts := opts
 					tOpts.SchedStats = true
-					if sres := pgschema.ValidateGraph(s, g, tOpts); sres.Sched != nil {
+					if sres := pgschema.ValidateGraphContext(context.Background(), s, g, tOpts); sres.Sched != nil {
 						b.ReportMetric(float64(sres.Sched.Steals), "steals")
 						b.ReportMetric(sres.Sched.Efficiency(), "sched-efficiency")
 					}
@@ -423,7 +423,7 @@ func BenchmarkIncremental(b *testing.B) {
 	// Workers: 1 keeps both arms sequential; a 0 would autotune the full
 	// arm at this size.
 	opts := pgschema.ValidateOptions{Workers: 1, Program: prog}
-	base := pgschema.ValidateGraph(s, g, opts)
+	base := pgschema.ValidateGraphContext(context.Background(), s, g, opts)
 	if !base.OK() {
 		b.Fatal("seed graph invalid")
 	}
@@ -461,7 +461,7 @@ func BenchmarkIncremental(b *testing.B) {
 			if incremental {
 				res = pgschema.Revalidate(ctx, s, g, base, pgschema.DeltaFor(u.Touched()), opts)
 			} else {
-				res = pgschema.ValidateGraph(s, g, opts)
+				res = pgschema.ValidateGraphContext(context.Background(), s, g, opts)
 			}
 			b.StopTimer()
 			if !res.OK() {
@@ -625,7 +625,7 @@ func BenchmarkSnapshot(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res := pgschema.ValidateGraph(s, mg, pgschema.ValidateOptions{Program: prog})
+				res := pgschema.ValidateGraphContext(context.Background(), s, mg, pgschema.ValidateOptions{Program: prog})
 				if !res.OK() {
 					b.Fatal("generated graph invalid")
 				}
@@ -644,7 +644,7 @@ func BenchmarkSnapshot(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				gcFresh(b)
-				res := pgschema.ValidateGraph(s, mg, pgschema.ValidateOptions{Program: prog})
+				res := pgschema.ValidateGraphContext(context.Background(), s, mg, pgschema.ValidateOptions{Program: prog})
 				if !res.OK() {
 					b.Fatal("generated graph invalid")
 				}
@@ -654,7 +654,7 @@ func BenchmarkSnapshot(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				gcFresh(b)
-				res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{Program: prog})
+				res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{Program: prog})
 				if !res.OK() {
 					b.Fatal("generated graph invalid")
 				}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -101,7 +102,7 @@ func book(g *pgschema.Graph, title string) pgschema.NodeID {
 }
 
 func check(s *pgschema.Schema, g *pgschema.Graph, title string) {
-	res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{})
+	res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{})
 	fmt.Printf("%-50s ok=%v\n", title, res.OK())
 	for _, v := range res.Violations {
 		fmt.Println("   ", v)

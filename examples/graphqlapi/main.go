@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -78,7 +79,7 @@ func main() {
 	g.MustAddEdge(bob, drums, "plays")
 	g.MustAddEdge(cleo, keys, "plays")
 
-	if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); !res.OK() {
+	if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); !res.OK() {
 		log.Fatalf("graph invalid: %v", res.Violations)
 	}
 
@@ -106,7 +107,11 @@ func main() {
 		}`},
 	}
 	for _, qc := range queries {
-		out, err := pgschema.ExecuteQuery(s, g, qc.q)
+		doc, err := pgschema.ParseQuery(qc.q)
+		if err != nil {
+			log.Fatalf("%s: %v", qc.title, err)
+		}
+		out, err := pgschema.ExecuteQueryContext(context.Background(), s, g, doc, "")
 		if err != nil {
 			log.Fatalf("%s: %v", qc.title, err)
 		}

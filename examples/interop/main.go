@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -80,7 +81,7 @@ func main() {
 	g.MustAddEdge(ada, b2, "wrote")
 	g.MustAddEdge(b2, b1, "sequelOf")
 
-	sdlRes := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{})
+	sdlRes := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{})
 	anglesRes := baseline.Validate(g)
 	fmt.Printf("\nconformant graph:     SDL ok=%v, Angles ok=%v\n", sdlRes.OK(), len(anglesRes) == 0)
 
@@ -89,7 +90,7 @@ func main() {
 	orphan := g.AddNode("Book")
 	g.SetNodeProp(orphan, "title", pgschema.String("Apocrypha"))
 	g.MustAddEdge(orphan, b1, "sequelOf")
-	sdlRes = pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{})
+	sdlRes = pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{})
 	anglesRes = baseline.Validate(g)
 	fmt.Printf("after bad mutations:  SDL %d violations, Angles %d violations\n",
 		len(sdlRes.Violations), len(anglesRes))

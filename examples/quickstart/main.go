@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 	g.SetNodeProp(bob, "login", pgschema.String("bob"))
 	g.MustAddEdge(ada, bob, "follows")
 
-	res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{})
+	res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{})
 	fmt.Printf("conformant graph: ok=%v\n", res.OK())
 
 	// Now break three rules: a duplicate key, a loop, a missing login.
@@ -41,7 +42,7 @@ func main() {
 	g.SetNodeProp(evil, "id", pgschema.ID("u1")) // duplicate key → DS7, missing login → DS5
 	g.MustAddEdge(bob, bob, "follows")           // loop → DS2
 
-	res = pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{})
+	res = pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{})
 	fmt.Printf("after mutations: ok=%v, %d violations\n", res.OK(), len(res.Violations))
 	for _, v := range res.Violations {
 		fmt.Println("  ", v)

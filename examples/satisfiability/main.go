@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -93,7 +94,7 @@ func main() {
 		if rep.Witness != nil {
 			fmt.Printf(" — witness: %d nodes, %d edges", rep.Witness.NumNodes(), rep.Witness.NumEdges())
 			// The witness really does satisfy the schema:
-			res := pgschema.ValidateGraph(s, rep.Witness, pgschema.ValidateOptions{})
+			res := pgschema.ValidateGraphContext(context.Background(), s, rep.Witness, pgschema.ValidateOptions{})
 			fmt.Printf(" (revalidated: ok=%v)", res.OK())
 		}
 		fmt.Println()

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -137,7 +138,7 @@ func main() {
 	g.SetNodeProp(moto, "brand", pgschema.String("Husqvarna"))
 	g.MustAddEdge(car, g.NodesLabeled("Person")[0], "owner")
 	g.MustAddEdge(moto, g.NodesLabeled("Person")[1], "owner")
-	res := pgschema.ValidateGraph(union, g, pgschema.ValidateOptions{})
+	res := pgschema.ValidateGraphContext(context.Background(), union, g, pgschema.ValidateOptions{})
 	fmt.Printf("owner edges from Car and Motorcycle: ok=%v\n", res.OK())
 
 	// Figure 1: full GraphQL schema including root operations.
@@ -160,7 +161,7 @@ func main() {
 	swg.SetNodeProp(falcon, "id", pgschema.ID("3000"))
 	swg.SetNodeProp(falcon, "name", pgschema.String("Millennium Falcon"))
 	swg.MustAddEdge(luke, falcon, "starships")
-	res = pgschema.ValidateGraph(sw, swg, pgschema.ValidateOptions{})
+	res = pgschema.ValidateGraphContext(context.Background(), sw, swg, pgschema.ValidateOptions{})
 	fmt.Printf("star-wars graph: ok=%v\n", res.OK())
 	for _, v := range res.Violations {
 		fmt.Println("   ", v)
@@ -168,8 +169,8 @@ func main() {
 }
 
 func compare(union, iface *pgschema.Schema, g *pgschema.Graph, title string) {
-	u := pgschema.ValidateGraph(union, g, pgschema.ValidateOptions{})
-	i := pgschema.ValidateGraph(iface, g, pgschema.ValidateOptions{})
+	u := pgschema.ValidateGraphContext(context.Background(), union, g, pgschema.ValidateOptions{})
+	i := pgschema.ValidateGraphContext(context.Background(), iface, g, pgschema.ValidateOptions{})
 	agree := "AGREE"
 	if u.OK() != i.OK() {
 		agree = "DISAGREE (bug!)"

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -91,7 +92,7 @@ func main() {
 }
 
 func report(s *pgschema.Schema, g *pgschema.Graph, title string) {
-	res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{})
+	res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{})
 	fmt.Printf("%-45s ok=%v", title, res.OK())
 	if !res.OK() {
 		fmt.Printf("  (%d violations)", len(res.Violations))

@@ -6,6 +6,7 @@ package pgschema_test
 // §4 is the index; EXPERIMENTS.md records outcomes.
 
 import (
+	"context"
 	"testing"
 
 	"pgschema"
@@ -60,7 +61,7 @@ func TestE1CardinalityTable(t *testing.T) {
 			b1, b2 := g.AddNode("B"), g.AddNode("B")
 			g.MustAddEdge(a, b1, "rel")
 			g.MustAddEdge(a, b2, "rel")
-			res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{})
+			res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{})
 			if res.OK() != c.multiOut {
 				t.Errorf("%s: two outgoing edges ok=%v, want %v (%v)", c.kind, res.OK(), c.multiOut, res.Violations)
 			}
@@ -71,7 +72,7 @@ func TestE1CardinalityTable(t *testing.T) {
 			b := g.AddNode("B")
 			g.MustAddEdge(a1, b, "rel")
 			g.MustAddEdge(a2, b, "rel")
-			res = pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{})
+			res = pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{})
 			if res.OK() != c.multiIn {
 				t.Errorf("%s: two incoming edges ok=%v, want %v (%v)", c.kind, res.OK(), c.multiIn, res.Violations)
 			}
@@ -81,7 +82,7 @@ func TestE1CardinalityTable(t *testing.T) {
 			a = g.AddNode("A")
 			b = g.AddNode("B")
 			g.MustAddEdge(a, b, "rel")
-			if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); !res.OK() {
+			if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); !res.OK() {
 				t.Errorf("%s: single edge rejected: %v", c.kind, res.Violations)
 			}
 		})
@@ -112,16 +113,16 @@ func TestE6PaperExamples(t *testing.T) {
 		u := g.AddNode("User")
 		g.SetNodeProp(u, "id", pgschema.ID("u1"))
 		g.SetNodeProp(u, "login", pgschema.String("ada"))
-		if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); !res.OK() {
+		if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); !res.OK() {
 			t.Errorf("two-property User rejected: %v", res.Violations)
 		}
 		g.SetNodeProp(u, "nicknames", pgschema.List(pgschema.String("lovelace")))
-		if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); !res.OK() {
+		if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); !res.OK() {
 			t.Errorf("three-property User rejected: %v", res.Violations)
 		}
 		// "the value of nicknames must be an array of strings".
 		g.SetNodeProp(u, "nicknames", pgschema.String("lovelace"))
-		if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); res.OK() {
+		if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); res.OK() {
 			t.Error("non-array nicknames accepted")
 		}
 	})
@@ -140,13 +141,13 @@ func TestE6PaperExamples(t *testing.T) {
 			g.SetNodeProp(u, "login", pgschema.String(pair[1]))
 			_ = i
 		}
-		if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); !res.OK() {
+		if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); !res.OK() {
 			t.Errorf("distinct users rejected: %v", res.Violations)
 		}
 		u := g.AddNode("User")
 		g.SetNodeProp(u, "id", pgschema.ID("u3"))
 		g.SetNodeProp(u, "login", pgschema.String("ada")) // duplicate login
-		res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{})
+		res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{})
 		if res.OK() {
 			t.Error("duplicate login accepted despite @key(fields:[login])")
 		}
@@ -159,18 +160,18 @@ func TestE6PaperExamples(t *testing.T) {
 		g := pgschema.NewGraph()
 		sess := g.AddNode("UserSession")
 		// Zero edges: DS6.
-		if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); res.OK() {
+		if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); res.OK() {
 			t.Error("UserSession without user edge accepted")
 		}
 		u := g.AddNode("User")
 		g.MustAddEdge(sess, u, "user")
-		if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); !res.OK() {
+		if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); !res.OK() {
 			t.Errorf("exactly one user edge rejected: %v", res.Violations)
 		}
 		u2 := g.AddNode("User")
 		g.MustAddEdge(sess, u2, "user")
 		// Two edges: WS4.
-		if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); res.OK() {
+		if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); res.OK() {
 			t.Error("two user edges accepted on non-list field")
 		}
 	})
@@ -183,17 +184,17 @@ func TestE6PaperExamples(t *testing.T) {
 		// outgoing edge".
 		g := pgschema.NewGraph()
 		g.AddNode("Author")
-		if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); !res.OK() {
+		if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); !res.OK() {
 			t.Errorf("edge-free Author rejected: %v", res.Violations)
 		}
 		// "every Book node must have at least one outgoing edge".
 		b := g.AddNode("Book")
 		g.SetNodeProp(b, "title", pgschema.String("t"))
-		if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); res.OK() {
+		if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); res.OK() {
 			t.Error("author-less Book accepted")
 		}
 		g.MustAddEdge(b, g.NodesLabeled("Author")[0], "author")
-		if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); !res.OK() {
+		if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); !res.OK() {
 			t.Errorf("single-author Book rejected: %v", res.Violations)
 		}
 	})
@@ -245,8 +246,8 @@ func TestE6PaperExamples(t *testing.T) {
 			},
 		}
 		for i, build := range graphs {
-			u := pgschema.ValidateGraph(unionS, build(), pgschema.ValidateOptions{})
-			f := pgschema.ValidateGraph(ifaceS, build(), pgschema.ValidateOptions{})
+			u := pgschema.ValidateGraphContext(context.Background(), unionS, build(), pgschema.ValidateOptions{})
+			f := pgschema.ValidateGraphContext(context.Background(), ifaceS, build(), pgschema.ValidateOptions{})
 			if u.OK() != f.OK() {
 				t.Errorf("graph %d: union ok=%v, interface ok=%v — formulations must agree", i, u.OK(), f.OK())
 			}
@@ -267,7 +268,7 @@ func TestE6PaperExamples(t *testing.T) {
 		g.SetNodeProp(m, "brand", pgschema.String("husqvarna"))
 		g.MustAddEdge(c, p, "owner")
 		g.MustAddEdge(m, p, "owner")
-		if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); !res.OK() {
+		if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); !res.OK() {
 			t.Errorf("owner edges from two source types rejected: %v", res.Violations)
 		}
 	})
@@ -281,11 +282,11 @@ func TestE6PaperExamples(t *testing.T) {
 		u := g.AddNode("User")
 		e := g.MustAddEdge(sess, u, "user")
 		g.SetEdgeProp(e, "certainty", pgschema.Float(0.8))
-		if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); !res.OK() {
+		if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); !res.OK() {
 			t.Errorf("valid edge property rejected: %v", res.Violations)
 		}
 		g.SetEdgeProp(e, "comment", pgschema.Int(7)) // comment: String
-		if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); res.OK() {
+		if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); res.OK() {
 			t.Error("integer comment accepted on String argument")
 		}
 	})
@@ -354,13 +355,13 @@ func TestE8Figure1(t *testing.T) {
 	g.SetNodeProp(falcon, "id", pgschema.ID("3000"))
 	g.SetNodeProp(falcon, "name", pgschema.String("Millennium Falcon"))
 	g.MustAddEdge(luke, falcon, "starships")
-	if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); !res.OK() {
+	if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); !res.OK() {
 		t.Errorf("star-wars graph rejected: %v", res.Violations)
 	}
 
 	// friends must point at Characters: a Starship friend violates WS3.
 	g.MustAddEdge(r2, falcon, "friends")
-	if res := pgschema.ValidateGraph(s, g, pgschema.ValidateOptions{}); res.OK() {
+	if res := pgschema.ValidateGraphContext(context.Background(), s, g, pgschema.ValidateOptions{}); res.OK() {
 		t.Error("Starship accepted as a friend")
 	}
 }

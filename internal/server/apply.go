@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"sort"
+	"strconv"
 	"time"
 
 	"pgschema/internal/pg"
@@ -156,6 +157,32 @@ type applyResponse struct {
 	// Validation carries the post-mutation validation result when the
 	// request asked for one (revalidate or requireValid).
 	Validation *validationResponse `json:"validation,omitempty"`
+}
+
+func (r applyResponse) appendJSON(w *jsonWriter) {
+	w.open('{')
+	w.stringField("apiVersion", r.APIVersion)
+	w.boolField("applied", r.Applied)
+	w.key("epoch")
+	w.buf = strconv.AppendUint(w.buf, r.Epoch, 10)
+	w.key("newNodes")
+	w.ints(r.NewNodes)
+	w.key("newEdges")
+	w.ints(r.NewEdges)
+	w.key("touched")
+	w.open('{')
+	w.key("nodes")
+	w.ints(r.Touched.Nodes)
+	w.key("edges")
+	w.ints(r.Touched.Edges)
+	w.key("labels")
+	w.strings(r.Touched.Labels)
+	w.close('}')
+	if r.Validation != nil {
+		w.key("validation")
+		r.Validation.appendJSON(w)
+	}
+	w.close('}')
 }
 
 func (h *Handler) serveApply(t *tenant, w http.ResponseWriter, r *http.Request) {

@@ -40,6 +40,31 @@ type graphqlResponse struct {
 	PlanMS     float64 `json:"planMs"`
 }
 
+func (r graphqlResponse) appendJSON(w *jsonWriter) {
+	w.open('{')
+	w.stringField("apiVersion", r.APIVersion)
+	if len(r.Data) > 0 {
+		w.key("data")
+		w.object(r.Data)
+	}
+	if len(r.Errors) > 0 {
+		w.key("errors")
+		w.open('[')
+		for _, e := range r.Errors {
+			w.next()
+			w.open('{')
+			w.stringField("message", e.Message)
+			w.close('}')
+		}
+		w.close(']')
+	}
+	w.stringField("engine", r.Engine)
+	w.boolField("compiled", r.Compiled)
+	w.boolField("planCached", r.PlanCached)
+	w.floatField("planMs", r.PlanMS)
+	w.close('}')
+}
+
 // engineCompiled is the engine every GraphQL response reports.
 const engineCompiled = "compiled"
 

@@ -56,7 +56,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -336,10 +335,18 @@ func (h *Handler) serveSchema(t *tenant, w http.ResponseWriter, r *http.Request)
 	io.WriteString(w, apiSDL)
 }
 
+// writeJSON answers with v in encoding/json's indented layout. The body
+// is encoded in full before the status goes out, so a value that cannot
+// be encoded (a NaN or infinite float read from the graph) is answered
+// with a 500 error envelope naming it, not with a truncated 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	jw := getJSONWriter()
+	defer jw.free()
+	if err := jw.encode(v); err != nil {
+		writeAPIError(w, http.StatusInternalServerError, "encoding response: "+err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(jw.buf) // a client gone mid-write has nobody left to tell
 }

@@ -83,7 +83,8 @@ type deltaRequest struct {
 	Labels     []string `json:"labels"`
 }
 
-// violationJSON is one violation in a validation response.
+// violationJSON is one violation on the wire, as encoding/json renders
+// it.
 type violationJSON struct {
 	Rule     string `json:"rule"`
 	Message  string `json:"message"`
@@ -94,16 +95,62 @@ type violationJSON struct {
 	Property string `json:"property,omitempty"`
 }
 
+// violationList is a report's violation list, the validator's own slice
+// (never null on the wire). The response writer appends it field by
+// field; MarshalJSON is the encoding/json rendering through
+// violationJSON that the writer's tests compare against.
+type violationList []validate.Violation
+
+func (l violationList) MarshalJSON() ([]byte, error) {
+	out := make([]violationJSON, len(l))
+	for i, v := range l {
+		out[i] = violationJSON{
+			Rule:     string(v.Rule),
+			Message:  v.Message,
+			Node:     int64(v.Node),
+			Edge:     int64(v.Edge),
+			TypeName: v.TypeName,
+			Field:    v.Field,
+			Property: v.Property,
+		}
+	}
+	return json.Marshal(out)
+}
+
+func (l violationList) appendJSON(w *jsonWriter) {
+	w.open('[')
+	for i := range l {
+		v := &l[i]
+		w.next()
+		w.open('{')
+		w.stringField("rule", string(v.Rule))
+		w.stringField("message", v.Message)
+		w.intField("node", int64(v.Node))
+		w.intField("edge", int64(v.Edge))
+		if v.TypeName != "" {
+			w.stringField("typeName", v.TypeName)
+		}
+		if v.Field != "" {
+			w.stringField("field", v.Field)
+		}
+		if v.Property != "" {
+			w.stringField("property", v.Property)
+		}
+		w.close('}')
+	}
+	w.close(']')
+}
+
 // validationResponse is the body of /validate and /revalidate answers
 // (and of the validation report inside /graph/apply responses).
 type validationResponse struct {
-	APIVersion string          `json:"apiVersion"`
-	OK         bool            `json:"ok"`
-	Mode       string          `json:"mode"`
-	Nodes      int             `json:"nodes"`
-	Edges      int             `json:"edges"`
-	Violations []violationJSON `json:"violations"`
-	Truncated  bool            `json:"truncated"`
+	APIVersion string        `json:"apiVersion"`
+	OK         bool          `json:"ok"`
+	Mode       string        `json:"mode"`
+	Nodes      int           `json:"nodes"`
+	Edges      int           `json:"edges"`
+	Violations violationList `json:"violations"`
+	Truncated  bool          `json:"truncated"`
 	// Incomplete marks a run cut short by cancellation (request timeout
 	// or client disconnect); its violation list is partial.
 	Incomplete  bool `json:"incomplete"`
@@ -144,6 +191,62 @@ type schedWorkerJSON struct {
 	Steals     int     `json:"steals"`
 	BusyMS     float64 `json:"busyMs"`
 	MaxChunkMS float64 `json:"maxChunkMs"`
+}
+
+func (r validationResponse) appendJSON(w *jsonWriter) {
+	w.open('{')
+	w.stringField("apiVersion", r.APIVersion)
+	w.boolField("ok", r.OK)
+	w.stringField("mode", r.Mode)
+	w.intField("nodes", int64(r.Nodes))
+	w.intField("edges", int64(r.Edges))
+	w.key("violations")
+	r.Violations.appendJSON(w)
+	w.boolField("truncated", r.Truncated)
+	w.boolField("incomplete", r.Incomplete)
+	w.boolField("incremental", r.Incremental)
+	w.stringField("engine", r.Engine)
+	w.intField("workers", int64(r.Workers))
+	w.boolField("compiled", r.Compiled)
+	w.floatField("compileMs", r.CompileMS)
+	w.floatField("elapsedMs", r.ElapsedMS)
+	if len(r.RuleTimeMS) > 0 {
+		w.key("ruleTimeMs")
+		w.floatMap(r.RuleTimeMS)
+	}
+	if r.Sched != nil {
+		w.key("sched")
+		r.Sched.appendJSON(w)
+	}
+	w.close('}')
+}
+
+func (s *schedJSON) appendJSON(w *jsonWriter) {
+	w.open('{')
+	w.intField("workers", int64(s.Workers))
+	w.intField("chunks", int64(s.Chunks))
+	w.intField("steals", int64(s.Steals))
+	w.floatField("wallMs", s.WallMS)
+	w.floatField("busyMs", s.BusyMS)
+	w.floatField("maxChunkMs", s.MaxChunkMS)
+	w.floatField("efficiency", s.Efficiency)
+	w.key("perWorker")
+	if s.PerWorker == nil {
+		w.buf = append(w.buf, "null"...)
+	} else {
+		w.open('[')
+		for _, pw := range s.PerWorker {
+			w.next()
+			w.open('{')
+			w.intField("chunks", int64(pw.Chunks))
+			w.intField("steals", int64(pw.Steals))
+			w.floatField("busyMs", pw.BusyMS)
+			w.floatField("maxChunkMs", pw.MaxChunkMS)
+			w.close('}')
+		}
+		w.close(']')
+	}
+	w.close('}')
 }
 
 func schedToJSON(st *validate.SchedStats) *schedJSON {
@@ -357,13 +460,13 @@ func (t *tenant) validationResponse(res *validate.Result, mode string, elapsed t
 	if mode == "" {
 		mode = "strong"
 	}
-	out := validationResponse{
+	return validationResponse{
 		APIVersion:  apiVersion,
 		OK:          res.OK(),
 		Mode:        mode,
 		Nodes:       t.g.NumNodes(),
 		Edges:       t.g.NumEdges(),
-		Violations:  make([]violationJSON, 0, len(res.Violations)),
+		Violations:  res.Violations,
 		Truncated:   res.Truncated,
 		Incomplete:  res.Incomplete,
 		Incremental: incremental,
@@ -373,16 +476,4 @@ func (t *tenant) validationResponse(res *validate.Result, mode string, elapsed t
 		CompileMS:   float64(t.prog.Stats().CompileTime) / float64(time.Millisecond),
 		ElapsedMS:   float64(elapsed) / float64(time.Millisecond),
 	}
-	for _, v := range res.Violations {
-		out.Violations = append(out.Violations, violationJSON{
-			Rule:     string(v.Rule),
-			Message:  v.Message,
-			Node:     int64(v.Node),
-			Edge:     int64(v.Edge),
-			TypeName: v.TypeName,
-			Field:    v.Field,
-			Property: v.Property,
-		})
-	}
-	return out
 }

@@ -101,7 +101,7 @@ func TestValidateEndpointFindsViolations(t *testing.T) {
 		t.Fatalf("expected directive violations: %+v", out)
 	}
 	for _, v := range out.Violations {
-		if !strings.HasPrefix(v.Rule, "DS") {
+		if !strings.HasPrefix(string(v.Rule), "DS") {
 			t.Errorf("non-directive rule %s in directives mode", v.Rule)
 		}
 	}

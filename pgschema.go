@@ -14,7 +14,7 @@
 //   - ParseSchema compiles SDL text into the paper's formal schema
 //     (Definition 4.1), verifying interface and directives consistency
 //     (Definitions 4.3–4.5);
-//   - ValidateGraph decides strong/weak/directives satisfaction
+//   - ValidateGraphContext decides strong/weak/directives satisfaction
 //     (Definitions 5.1–5.3) of a Property Graph, reporting every
 //     violation with its rule (WS1–WS4, DS1–DS7, SS1–SS4);
 //   - CheckType decides object-type satisfiability (§6.2) with a
@@ -43,13 +43,14 @@
 //     Revalidate(s, g, prev, delta) and the removed
 //     RevalidateWithOptions(s, g, prev, delta, opts) — pass
 //     context.Background() for the old behavior;
-//   - ValidateGraphContext(ctx, s, g, opts) is ValidateGraph under a
-//     context;
+//   - ValidateGraphContext(ctx, s, g, opts) replaces the removed
+//     ValidateGraph(s, g, opts);
+//   - ParseQuery(src) followed by ExecuteQueryContext(ctx, s, g, doc, "")
+//     replaces the removed ExecuteQuery(s, g, src);
 //   - CompileValidationContext(ctx, s) is CompileValidation under a
 //     context.
 //
-// The pre-context forms ValidateGraph (deprecated) and
-// CompileValidation remain as thin wrappers over a background context.
+// CompileValidation remains as a thin wrapper over a background context.
 // A cancelled run returns a result with Incomplete set — such a result
 // carries whatever violations were found, but must not seed a later
 // Revalidate.
@@ -107,10 +108,10 @@ type Violation = validate.Violation
 // Rule identifies a satisfaction rule (WS1–WS4, DS1–DS7, SS1–SS4).
 type Rule = validate.Rule
 
-// ValidationResult is the outcome of ValidateGraph.
+// ValidationResult is the outcome of ValidateGraphContext.
 type ValidationResult = validate.Result
 
-// ValidateOptions configures ValidateGraph.
+// ValidateOptions configures ValidateGraphContext.
 type ValidateOptions = validate.Options
 
 // ValidationProgram is a schema compiled for repeated validation: symbol
@@ -130,7 +131,7 @@ type SatOptions = sat.Options
 // GenConfig configures GenerateConformant.
 type GenConfig = gen.Config
 
-// Validation modes (which satisfaction notion ValidateGraph checks).
+// Validation modes (which satisfaction notion ValidateGraphContext checks).
 const (
 	Strong     = validate.Strong
 	Weak       = validate.Weak
@@ -225,17 +226,9 @@ func ValidateCSVStream(ctx context.Context, s *Schema, nodes, edges io.Reader, o
 	return validate.ValidateStream(ctx, s, nodes, edges, opts)
 }
 
-// ValidateGraph checks the satisfaction notion selected in opts (strong
-// satisfaction by default) and returns all violations.
-//
-// Deprecated: use ValidateGraphContext, which takes the run context
-// first.
-func ValidateGraph(s *Schema, g *Graph, opts ValidateOptions) *ValidationResult {
-	return validate.Validate(s, g, opts)
-}
-
-// ValidateGraphContext is ValidateGraph under a context: cancellation is
-// observed between work chunks, so a cancelled context stops the run
+// ValidateGraphContext checks the satisfaction notion selected in opts
+// (strong satisfaction by default) and returns all violations.
+// Cancellation is observed between work chunks, so a cancelled context stops the run
 // before the next chunk starts and the returned result has Incomplete
 // set.
 func ValidateGraphContext(ctx context.Context, s *Schema, g *Graph, opts ValidateOptions) *ValidationResult {
@@ -245,7 +238,7 @@ func ValidateGraphContext(ctx context.Context, s *Schema, g *Graph, opts Validat
 // CompileValidation compiles the schema into a ValidationProgram. Callers
 // that validate repeatedly — servers, watch loops, benchmark harnesses —
 // compile once and pass the program in ValidateOptions.Program; one-shot
-// callers can skip this (ValidateGraph compiles on the fly).
+// callers can skip this (ValidateGraphContext compiles on the fly).
 func CompileValidation(s *Schema) *ValidationProgram {
 	return validate.Compile(s)
 }
@@ -300,7 +293,7 @@ func DeltaFor(t Touched) Delta { return validate.DeltaFor(t) }
 // Revalidate updates a previous validation result after a mutation
 // without re-checking the whole graph: only the delta's influence region
 // is re-run (on the compiled/fused engine by default) and spliced into
-// prev. The result equals what a full ValidateGraph with the same
+// prev. The result equals what a full ValidateGraphContext with the same
 // options would produce. prev must be complete (not Truncated, not
 // Incomplete) and from the same schema, mode, and rule set; otherwise
 // Revalidate falls back to a full run.
@@ -375,7 +368,7 @@ type ServerConfig = server.Config
 // NewHTTPHandler returns an http.Handler serving the full HTTP surface
 // over a schema and a hosted graph: POST /graphql (GraphQL queries per
 // ExtendToAPISchema), GET /schema (the API SDL), POST /validate (a
-// ValidateGraph run configured by the JSON body), POST /revalidate
+// ValidateGraphContext run configured by the JSON body), POST /revalidate
 // (incremental Revalidate from the last full strong run), POST
 // /graph/apply (a transactional GraphDelta — all-or-nothing, with
 // optional incremental revalidation, and with requireValid as a commit
@@ -433,23 +426,6 @@ func NewRegistryHandler(cfg RegistryConfig) (http.Handler, error) {
 	return h.Mux(), nil
 }
 
-// ExecuteQuery evaluates a GraphQL query directly against a Property
-// Graph under the conventions of ExtendToAPISchema: root fields
-// `all<Plural>` and `<type>(key: …)`, attribute/relationship fields,
-// inverse `_<field>Of<Type>` traversal, fragments, and `__typename`.
-// Relationship-field arguments filter traversal by edge-property
-// equality. The result is a JSON-ready tree.
-//
-// Deprecated: use ExecuteQueryContext, which takes the run context
-// first (parse the query with ParseQuery).
-func ExecuteQuery(s *Schema, g *Graph, querySrc string) (map[string]any, error) {
-	doc, err := query.Parse(querySrc)
-	if err != nil {
-		return nil, err
-	}
-	return ExecuteQueryContext(context.Background(), s, g, doc, "")
-}
-
 // QueryDocument is a parsed GraphQL query document.
 type QueryDocument = query.Document
 
@@ -482,7 +458,12 @@ func NewQueryPlanCache(s *Schema, capacity int) *QueryPlanCache {
 	return query.NewPlanCache(s, capacity)
 }
 
-// ExecuteQueryContext is ExecuteQuery with cancellation. It compiles the
+// ExecuteQueryContext evaluates a parsed GraphQL query directly against a
+// Property Graph under the conventions of ExtendToAPISchema: root fields
+// `all<Plural>` and `<type>(key: …)`, attribute/relationship fields,
+// inverse `_<field>Of<Type>` traversal, fragments, and `__typename`.
+// Relationship-field arguments filter traversal by edge-property
+// equality. The result is a JSON-ready tree. It compiles the
 // document (CompileQuery) and executes the plan once, which polls ctx
 // at scan boundaries, so long scans over large graphs abort promptly.
 // Callers that run a query repeatedly should keep the QueryPlan, or a
