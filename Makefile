@@ -2,9 +2,9 @@
 # under the race detector, and keep the fused engine in agreement with
 # its test oracles (the differential harness runs under -race as part of
 # `race`; the dedicated `differential` target re-runs just it, shuffled).
-.PHONY: check build vet test race api-golden differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke bench-serve scale-smoke scale-differential stream-smoke snapshot-differential clean
+.PHONY: check build vet test race api-golden differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke bench-serve scale-smoke scale-differential stream-smoke snapshot-differential clean
 
-check: build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke fuzz-json-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
+check: build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
 
 build:
 	go build ./...
@@ -52,7 +52,9 @@ bench:
 
 # One iteration of every benchmark — catches benchmarks that no longer
 # compile or fail their own assertions, without measuring anything. The
-# comparisons against test oracles live in the internal packages.
+# comparisons against test oracles live in the internal packages;
+# ./internal/pg/ includes BenchmarkReplayLog (10⁵ elements, 10³ and 10⁴
+# log records, reported as ns/record).
 bench-smoke:
 	go test -bench=. -benchtime=1x -run=^$$ . ./internal/validate/ ./internal/query/ ./internal/pg/ ./internal/server/
 
@@ -139,6 +141,13 @@ snapshot-differential:
 # or error with a diagnostic — never panic, never read out of bounds.
 fuzz-snapshot-smoke:
 	go test -run '^$$' -fuzz FuzzOpenSnapshot -fuzztime 10s ./internal/pg/
+
+# A short coverage-guided run of the write-ahead log replay fuzz
+# target: any bytes after a valid .pglog header must replay into the
+# snapshot or error with a diagnostic — never panic — and a replay must
+# leave a snapshot that agrees with a full rebuild.
+fuzz-wal-smoke:
+	go test -run '^$$' -fuzz FuzzReplayLog -fuzztime 10s ./internal/pg/
 
 # E14 — durable snapshots: WriteGraphSnapshot/OpenGraphSnapshot against
 # the streaming CSV loader (cold-start latency) and mapped vs heap

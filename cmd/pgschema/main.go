@@ -132,9 +132,11 @@ commands:
                                     via PUT/GET/DELETE /tenants/{name})
       -addr :8080                   listen address
       -pprof                        mount net/http/pprof under /debug/pprof/
-      -snapshot-dir DIR             persist DIR/<tenant>.pgsnap after each
-                                    /graph/apply; resume from them on restart
-                                    (legacy DIR/graph.pgsnap still read)
+      -snapshot-dir DIR             persist each tenant as DIR/<tenant>.pgsnap
+                                    plus a write-ahead log DIR/<tenant>.pglog
+                                    that each /graph/apply appends to; resume
+                                    from them on restart (legacy
+                                    DIR/graph.pgsnap still read)
       -tenant name:schema[:graph]   host an extra tenant (repeatable)
       -mem-budget N                 evict cold tenant snapshots past N bytes
   snapshot save <graph> <out.pgsnap>
@@ -483,23 +485,17 @@ func parseTenantSeed(spec, snapDir string) (server.TenantSeed, error) {
 		return server.TenantSeed{}, fmt.Errorf("serve: tenant %q schema: %w", seed.Name, err)
 	}
 	seed.SDL = string(src)
-	graphArg := ""
-	if len(parts) == 3 {
-		graphArg = parts[2]
+	var g *pg.Graph
+	if p := filepath.Join(snapDir, server.TenantSnapshotFile(seed.Name)); snapDir != "" && fileExists(p) {
+		fmt.Printf("resuming tenant %q from persisted snapshot %s\n", seed.Name, p)
+		g, _, err = server.LoadTenantGraph(p)
+	} else if len(parts) == 3 {
+		g, err = loadGraph(parts[2])
 	}
-	if snapDir != "" {
-		if p := filepath.Join(snapDir, server.TenantSnapshotFile(seed.Name)); fileExists(p) {
-			fmt.Printf("resuming tenant %q from persisted snapshot %s\n", seed.Name, p)
-			graphArg = p
-		}
+	if err != nil {
+		return server.TenantSeed{}, fmt.Errorf("serve: tenant %q graph: %w", seed.Name, err)
 	}
-	if graphArg != "" {
-		g, err := loadGraph(graphArg)
-		if err != nil {
-			return server.TenantSeed{}, fmt.Errorf("serve: tenant %q graph: %w", seed.Name, err)
-		}
-		seed.Graph = g
-	}
+	seed.Graph = g
 	return seed, nil
 }
 
@@ -511,7 +507,7 @@ func cmdServe(args []string) error {
 	maxBody := fs.Int64("max-body", server.DefaultMaxBodyBytes, "request body size limit in bytes")
 	quiet := fs.Bool("quiet", false, "disable access logging")
 	pprofFlag := fs.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
-	snapDir := fs.String("snapshot-dir", "", "persist each tenant as DIR/<name>.pgsnap after its /graph/apply; on startup, resume from those files if present")
+	snapDir := fs.String("snapshot-dir", "", "persist each tenant as DIR/<name>.pgsnap plus a write-ahead log DIR/<name>.pglog that each /graph/apply appends to and fsyncs (compacted into a new snapshot when it reaches the snapshot's size); on startup, resume from those files if present")
 	memBudget := fs.Int64("mem-budget", 0, "memory budget in bytes for resident tenant snapshots; the coldest persisted tenants are evicted past it and reload from -snapshot-dir on demand (0 = unlimited)")
 	var tenants repeatedFlag
 	fs.Var(&tenants, "tenant", "host an extra tenant, name:schema.graphql[:graph] (repeatable); graph is graph.json, nodes.csv,edges.csv, or file.pgsnap")
@@ -534,21 +530,22 @@ func cmdServe(args []string) error {
 		cfg.AccessLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	graphArg := fs.Arg(1)
+	resumed := false
 	if *snapDir != "" {
 		if err := os.MkdirAll(*snapDir, 0o755); err != nil {
 			return err
 		}
-		// Warm restart: a snapshot persisted by a previous run supersedes
-		// the graph argument — it carries every committed mutation and
-		// the epoch they advanced to. The pre-tenancy fixed file name is
-		// still honored as the default tenant's snapshot.
+		// Warm restart: a snapshot and log persisted by a previous run
+		// supersede the graph argument — they carry every committed
+		// mutation and the epoch they advanced to. The pre-tenancy fixed
+		// file name is still honored as the default tenant's snapshot.
 		persisted := filepath.Join(*snapDir, server.TenantSnapshotFile(server.DefaultTenant))
 		if !fileExists(persisted) {
 			persisted = filepath.Join(*snapDir, server.SnapshotFileName)
 		}
 		if fileExists(persisted) {
 			fmt.Printf("resuming from persisted snapshot %s\n", persisted)
-			graphArg = persisted
+			graphArg, resumed = persisted, true
 		}
 	}
 	loadStart := time.Now()
@@ -582,7 +579,12 @@ func cmdServe(args []string) error {
 		fmt.Printf("streamed graph: %d nodes, %d edges in %s; ingest validation: graph %s\n",
 			g.NumNodes(), g.NumEdges(), time.Since(loadStart).Round(time.Millisecond), status)
 	} else {
-		g, err := loadGraph(graphArg)
+		var g *pg.Graph
+		if resumed {
+			g, _, err = server.LoadTenantGraph(graphArg)
+		} else {
+			g, err = loadGraph(graphArg)
+		}
 		if err != nil {
 			return err
 		}

@@ -261,14 +261,14 @@ func indexOfID(ids []NodeID, id NodeID) int {
 	return -1
 }
 
-// applyState accumulates the bookkeeping of one Apply run.
-type applyState struct {
-	u *Undo
-	// Touched accumulators.
+// changeSet records what one or more applies changed: the Touched
+// accumulators plus the column-level change flags that drive the
+// snapshot patch.
+type changeSet struct {
 	tNodes  map[NodeID]struct{}
 	tEdges  map[EdgeID]struct{}
 	tLabels map[string]struct{}
-	// Column-level change flags driving the snapshot patch.
+
 	nodesAdded     bool
 	edgesAdded     bool
 	edgesRemoved   bool
@@ -276,6 +276,40 @@ type applyState struct {
 	nodesRemoved   bool
 	nodePropOps    bool // property row of a pre-existing node changed
 	edgePropOps    bool
+}
+
+func newChangeSet() changeSet {
+	return changeSet{
+		tNodes:  make(map[NodeID]struct{}),
+		tEdges:  make(map[EdgeID]struct{}),
+		tLabels: make(map[string]struct{}),
+	}
+}
+
+// merge folds o into c, so one patch can cover several applies.
+func (c *changeSet) merge(o *changeSet) {
+	for id := range o.tNodes {
+		c.tNodes[id] = struct{}{}
+	}
+	for id := range o.tEdges {
+		c.tEdges[id] = struct{}{}
+	}
+	for l := range o.tLabels {
+		c.tLabels[l] = struct{}{}
+	}
+	c.nodesAdded = c.nodesAdded || o.nodesAdded
+	c.edgesAdded = c.edgesAdded || o.edgesAdded
+	c.edgesRemoved = c.edgesRemoved || o.edgesRemoved
+	c.nodesRelabeled = c.nodesRelabeled || o.nodesRelabeled
+	c.nodesRemoved = c.nodesRemoved || o.nodesRemoved
+	c.nodePropOps = c.nodePropOps || o.nodePropOps
+	c.edgePropOps = c.edgePropOps || o.edgePropOps
+}
+
+// applyState accumulates the bookkeeping of one Apply run.
+type applyState struct {
+	u *Undo
+	changeSet
 }
 
 // Apply installs the delta atomically: either every mutation is
@@ -290,30 +324,40 @@ type applyState struct {
 // readers; callers serialize writes (the HTTP server holds its writer
 // lock across Apply).
 func (g *Graph) Apply(d Delta) (*Undo, error) {
-	g.privatize()
-	st := &applyState{
-		u:       &Undo{g: g, before: g.epoch},
-		tNodes:  make(map[NodeID]struct{}),
-		tEdges:  make(map[EdgeID]struct{}),
-		tLabels: make(map[string]struct{}),
-	}
-	if err := g.applyAll(d, st); err != nil {
-		g.replayUndo(st.u.steps)
-		g.epoch = st.u.before
+	u, st, err := g.apply(d)
+	if err != nil {
 		return nil, err
 	}
-	u := st.u
-	u.after = g.epoch
-	u.touched = st.finishTouched()
 	if u.after != u.before {
 		if old := g.snap.Load(); old != nil && old.epoch == u.before {
 			u.oldSnap = old
-			if patched := g.patchSnapshot(old, st.patchPlan()); patched != nil {
+			if patched := g.patchSnapshot(old, st.patchPlan(g)); patched != nil {
 				g.snap.Store(patched)
 			}
 		}
 	}
 	return u, nil
+}
+
+// apply is Apply without the snapshot patch: log replay folds many
+// applies into one patch at the end (see ReplayLog). A failed apply
+// also forgets the symbols it interned, so the graph is left exactly
+// as it was.
+func (g *Graph) apply(d Delta) (*Undo, *applyState, error) {
+	g.privatize()
+	st := &applyState{u: &Undo{g: g, before: g.epoch}, changeSet: newChangeSet()}
+	syms, buckets := len(g.syms.names), len(g.byLabel)
+	if err := g.applyAll(d, st); err != nil {
+		g.replayUndo(st.u.steps)
+		g.epoch = st.u.before
+		g.syms.truncate(syms)
+		g.byLabel = g.byLabel[:buckets]
+		return nil, nil, err
+	}
+	u := st.u
+	u.after = g.epoch
+	u.touched = st.finishTouched()
+	return u, st, nil
 }
 
 func (g *Graph) applyAll(d Delta, st *applyState) error {
@@ -498,14 +542,14 @@ func (g *Graph) applyRemoveEdge(id EdgeID, st *applyState) {
 	g.epoch++
 }
 
-func (st *applyState) markNodePropChange(id NodeID) {
-	st.tNodes[id] = struct{}{}
-	st.nodePropOps = true
+func (c *changeSet) markNodePropChange(id NodeID) {
+	c.tNodes[id] = struct{}{}
+	c.nodePropOps = true
 }
 
-func (st *applyState) markEdgePropChange(id EdgeID) {
-	st.tEdges[id] = struct{}{}
-	st.edgePropOps = true
+func (c *changeSet) markEdgePropChange(id EdgeID) {
+	c.tEdges[id] = struct{}{}
+	c.edgePropOps = true
 }
 
 // resolveNode maps a NodeID or NewNodeRef to a live node of the
@@ -539,25 +583,25 @@ func (st *applyState) resolveEdge(id EdgeID) (EdgeID, error) {
 	return id, nil
 }
 
-func (st *applyState) finishTouched() Touched {
+func (c *changeSet) finishTouched() Touched {
 	t := Touched{}
-	if len(st.tNodes) > 0 {
-		t.Nodes = make([]NodeID, 0, len(st.tNodes))
-		for id := range st.tNodes {
+	if len(c.tNodes) > 0 {
+		t.Nodes = make([]NodeID, 0, len(c.tNodes))
+		for id := range c.tNodes {
 			t.Nodes = append(t.Nodes, id)
 		}
 		sortNodeIDs(t.Nodes)
 	}
-	if len(st.tEdges) > 0 {
-		t.Edges = make([]EdgeID, 0, len(st.tEdges))
-		for id := range st.tEdges {
+	if len(c.tEdges) > 0 {
+		t.Edges = make([]EdgeID, 0, len(c.tEdges))
+		for id := range c.tEdges {
 			t.Edges = append(t.Edges, id)
 		}
 		sortEdgeIDs(t.Edges)
 	}
-	if len(st.tLabels) > 0 {
-		t.Labels = make([]string, 0, len(st.tLabels))
-		for l := range st.tLabels {
+	if len(c.tLabels) > 0 {
+		t.Labels = make([]string, 0, len(c.tLabels))
+		for l := range c.tLabels {
 			t.Labels = append(t.Labels, l)
 		}
 		sortStrings(t.Labels)
@@ -568,35 +612,52 @@ func (st *applyState) finishTouched() Touched {
 // patchPlan derives the snapshot patch inputs: per-column change flags
 // plus the sorted dirty element lists. Dirty nodes include the
 // endpoints of every dirty edge, because those nodes' adjacency rows
-// changed even if the nodes themselves did not.
-func (st *applyState) patchPlan() patchPlan {
-	g := st.u.g
-	nodeSet := make(map[NodeID]struct{}, len(st.tNodes)+2*len(st.tEdges))
-	for id := range st.tNodes {
-		nodeSet[id] = struct{}{}
+// changed even if the nodes themselves did not. Ids at or past the
+// graph's current bounds are skipped: they name additions that a later
+// undo in the same change set popped again.
+func (c *changeSet) patchPlan(g *Graph) patchPlan {
+	nn, ne := len(g.nodes), len(g.edges)
+	nodeSet := make(map[NodeID]struct{}, len(c.tNodes)+2*len(c.tEdges))
+	for id := range c.tNodes {
+		if int(id) < nn {
+			nodeSet[id] = struct{}{}
+		}
 	}
-	for id := range st.tEdges {
-		e := &g.edges[id]
-		nodeSet[e.src] = struct{}{}
-		nodeSet[e.dst] = struct{}{}
+	edgeDirty := make([]EdgeID, 0, len(c.tEdges))
+	for id := range c.tEdges {
+		if int(id) < ne {
+			e := &g.edges[id]
+			nodeSet[e.src] = struct{}{}
+			nodeSet[e.dst] = struct{}{}
+			edgeDirty = append(edgeDirty, id)
+		}
+	}
+	sortEdgeIDs(edgeDirty)
+	labels := make(map[Sym]struct{}, len(c.tLabels)+len(c.tNodes))
+	for l := range c.tLabels {
+		if sym, ok := g.syms.lookup(l); ok {
+			labels[sym] = struct{}{}
+		}
+	}
+	for id := range c.tNodes {
+		if int(id) < nn {
+			labels[g.nodes[id].label] = struct{}{}
+		}
 	}
 	p := patchPlan{
+		touchedLabels:        labels,
 		nodeDirty:            make([]NodeID, 0, len(nodeSet)),
-		edgeDirty:            make([]EdgeID, 0, len(st.tEdges)),
-		nodeLabelsChanged:    st.nodesAdded || st.nodesRelabeled || st.nodesRemoved,
-		nodeAdjChanged:       st.nodesAdded || st.edgesAdded || st.edgesRemoved,
-		nodePropsChanged:     st.nodesAdded || st.nodePropOps,
-		edgeLabelsChanged:    st.edgesAdded || st.edgesRemoved,
-		edgeEndpointsChanged: st.edgesAdded,
-		edgePropsChanged:     st.edgesAdded || st.edgePropOps,
+		edgeDirty:            edgeDirty,
+		nodeLabelsChanged:    c.nodesAdded || c.nodesRelabeled || c.nodesRemoved,
+		nodeAdjChanged:       c.nodesAdded || c.edgesAdded || c.edgesRemoved,
+		nodePropsChanged:     c.nodesAdded || c.nodePropOps,
+		edgeLabelsChanged:    c.edgesAdded || c.edgesRemoved,
+		edgeEndpointsChanged: c.edgesAdded,
+		edgePropsChanged:     c.edgesAdded || c.edgePropOps,
 	}
 	for id := range nodeSet {
 		p.nodeDirty = append(p.nodeDirty, id)
 	}
 	sortNodeIDs(p.nodeDirty)
-	for id := range st.tEdges {
-		p.edgeDirty = append(p.edgeDirty, id)
-	}
-	sortEdgeIDs(p.edgeDirty)
 	return p
 }

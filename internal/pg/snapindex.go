@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"pgschema/internal/values"
 )
@@ -25,7 +26,8 @@ import (
 // concurrent use.
 type snapIndexes struct {
 	enumOnce sync.Once
-	byLabel  [][]NodeID // byLabel[sym]: live nodes labeled exactly sym, ascending
+	enumDone atomic.Bool // byLabel is built (set inside enumOnce)
+	byLabel  [][]NodeID  // byLabel[sym]: live nodes labeled exactly sym, ascending
 
 	mu   sync.Mutex
 	keys map[Sym][]*keyIndex // by first label sym
@@ -39,6 +41,7 @@ type snapIndexes struct {
 type keyIndex struct {
 	labels, props []Sym
 	once          sync.Once
+	built         atomic.Bool       // set inside once, after the build
 	bucketOf      map[string]uint32 // rendered tuple → bucket
 	off           []uint32
 	nodes         []NodeID
@@ -79,7 +82,10 @@ func AppendKeyPart(buf []byte, v values.Value, present bool) []byte {
 // of the label column on first use. The slice is shared — read-only.
 func (s *Snapshot) LabelNodes(sym Sym) []NodeID {
 	x := s.idx
-	x.enumOnce.Do(func() { x.byLabel = s.buildLabelNodes() })
+	x.enumOnce.Do(func() {
+		x.byLabel = s.buildLabelNodes()
+		x.enumDone.Store(true)
+	})
 	if sym < 0 || int(sym) >= len(x.byLabel) {
 		return nil
 	}
@@ -246,6 +252,41 @@ func (s *Snapshot) keyIndex(labels, props []Sym) *keyIndex {
 				i++
 			}
 		}
+		k.built.Store(true)
 	})
 	return k
+}
+
+// carryOver returns the memo for a patched successor snapshot: it keeps
+// every built key index none of whose labels is in touched (the labels
+// of nodes the apply added, removed, relabelled or re-propertied), and
+// the per-label enumeration when labelsKept (no node was added, removed
+// or relabelled). Both are pure functions of content the apply did not
+// change, so the successor would rebuild them identically.
+func (x *snapIndexes) carryOver(touched func(Sym) bool, labelsKept bool) *snapIndexes {
+	nx := newSnapIndexes()
+	if labelsKept && x.enumDone.Load() {
+		byLabel := x.byLabel
+		nx.enumOnce.Do(func() {
+			nx.byLabel = byLabel
+			nx.enumDone.Store(true)
+		})
+	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for first, ks := range x.keys {
+	next:
+		for _, k := range ks {
+			if !k.built.Load() {
+				continue
+			}
+			for _, l := range k.labels {
+				if touched(l) {
+					continue next
+				}
+			}
+			nx.keys[first] = append(nx.keys[first], k)
+		}
+	}
+	return nx
 }

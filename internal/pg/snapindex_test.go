@@ -202,3 +202,78 @@ func TestKeyPartRendering(t *testing.T) {
 		t.Fatalf("Int 1 renders %q, Float 1 renders %q", a, b)
 	}
 }
+
+// TestPatchCarriesUntouchedIndexes checks that a patched snapshot keeps
+// the derived indexes the apply could not have changed: after a
+// Book-only property edit, the Author key index is the very index the
+// old snapshot built, and its buckets equal a fresh build's; the Book
+// index is rebuilt. A node addition drops the label enumeration, and
+// with it every index over the added node's label.
+func TestPatchCarriesUntouchedIndexes(t *testing.T) {
+	g := New()
+	var books []NodeID
+	for i := 0; i < 64; i++ {
+		a := g.AddNode("Author")
+		g.SetNodeProp(a, "name", values.String("author-"+string(rune('a'+i%20))))
+		b := g.AddNode("Book")
+		g.SetNodeProp(b, "pages", values.Int(int64(i)))
+		g.MustAddEdge(a, b, "favoriteBook")
+		books = append(books, b)
+	}
+	author, name := mustSym(t, g, "Author"), mustSym(t, g, "name")
+	book, pages := mustSym(t, g, "Book"), mustSym(t, g, "pages")
+	keyOf := func(s *Snapshot, label, prop Sym) *keyIndex {
+		return s.keyIndex([]Sym{label}, []Sym{prop})
+	}
+	old := g.Snapshot()
+	oldAuthors, oldBooks := keyOf(old, author, name), keyOf(old, book, pages)
+
+	if _, err := g.Apply(Delta{SetNodeProps: []NodePropSpec{{Node: books[3], Name: "pages", Value: values.Int(999)}}}); err != nil {
+		t.Fatal(err)
+	}
+	patched := g.Snapshot()
+	if patched == old {
+		t.Fatal("apply did not install a new snapshot")
+	}
+	if !patched.idx.enumDone.Load() {
+		t.Fatal("label enumeration not carried over a property-only apply")
+	}
+	if k := keyOf(patched, author, name); k != oldAuthors {
+		t.Fatal("Author key index rebuilt after a Book-only apply")
+	}
+	if k := keyOf(patched, book, pages); k == oldBooks {
+		t.Fatal("Book key index carried over an apply that edited a Book")
+	}
+	fresh := g.buildSnapshot()
+	for _, lp := range [][2]Sym{{author, name}, {book, pages}} {
+		got, want := keyOf(patched, lp[0], lp[1]), keyOf(fresh, lp[0], lp[1])
+		if !slices.Equal(got.off, want.off) || !slices.Equal(got.nodes, want.nodes) || len(got.bucketOf) != len(want.bucketOf) {
+			t.Fatalf("index over %v differs from a fresh build", lp)
+		}
+		for tuple, b := range want.bucketOf {
+			if gb, ok := got.bucketOf[tuple]; !ok || !slices.Equal(got.bucket(gb), want.bucket(b)) {
+				t.Fatalf("index over %v: bucket %q differs from a fresh build", lp, tuple)
+			}
+		}
+		if !slices.EqualFunc(patched.KeyConflicts(lp[:1], lp[1:]), fresh.KeyConflicts(lp[:1], lp[1:]), func(a, b KeyConflict) bool {
+			return a.Tuple == b.Tuple && slices.Equal(a.Nodes, b.Nodes)
+		}) {
+			t.Fatalf("index over %v: conflicts differ from a fresh build", lp)
+		}
+	}
+
+	before := keyOf(patched, author, name)
+	if _, err := g.Apply(Delta{AddNodes: []AddNodeSpec{{Label: "Book"}}}); err != nil {
+		t.Fatal(err)
+	}
+	added := g.Snapshot()
+	if added.idx.enumDone.Load() {
+		t.Fatal("label enumeration carried over a node addition")
+	}
+	if keyOf(added, author, name) != before {
+		t.Fatal("Author key index rebuilt after a Book addition")
+	}
+	if got, want := added.LabelNodes(book), g.buildSnapshot().LabelNodes(book); !slices.Equal(got, want) {
+		t.Fatalf("Book enumeration after an addition: %v, want %v", got, want)
+	}
+}

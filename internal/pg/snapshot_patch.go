@@ -22,6 +22,10 @@ import (
 type patchPlan struct {
 	nodeDirty []NodeID
 	edgeDirty []EdgeID
+	// touchedLabels holds the label syms whose nodes' existence, label
+	// or properties changed: the key indexes over them are rebuilt,
+	// all others carried over.
+	touchedLabels map[Sym]struct{}
 
 	nodeLabelsChanged    bool
 	nodeAdjChanged       bool
@@ -47,8 +51,12 @@ func (g *Graph) patchSnapshot(old *Snapshot, p patchPlan) *Snapshot {
 	}
 	oldNN := len(old.nodeLabels)
 
+	touched := func(l Sym) bool {
+		_, ok := p.touchedLabels[l]
+		return ok
+	}
 	s := &Snapshot{
-		idx:       newSnapIndexes(),
+		idx:       old.idx.carryOver(touched, !p.nodeLabelsChanged),
 		epoch:     g.epoch,
 		liveNodes: g.NumNodes(),
 		liveEdges: g.NumEdges(),

@@ -32,6 +32,16 @@ func (t *symbols) intern(name string) Sym {
 	return s
 }
 
+// truncate forgets every symbol interned after the first n. Snapshots
+// hold the name table capacity-capped at their own length, so later
+// interning never writes through a slice one of them can see.
+func (t *symbols) truncate(n int) {
+	for _, name := range t.names[n:] {
+		delete(t.ids, name)
+	}
+	t.names = t.names[:n]
+}
+
 func (t *symbols) lookup(name string) (Sym, bool) {
 	s, ok := t.ids[name]
 	return s, ok

@@ -422,7 +422,11 @@ func (c *compiler) compileField(staticType string, f *Field) *fieldStep {
 }
 
 func (c *compiler) compileInverse(defs map[string]inverseDef, f *Field) *invStep {
+	// Reserve the slot before compiling the target bodies: an inverse
+	// field nested in this one's selection takes the next slot, not
+	// this one's.
 	inv := &invStep{idx: len(c.p.invs), byLabel: make(map[string]int32, len(defs))}
+	c.p.invs = append(c.p.invs, inv)
 	if len(f.Arguments) > 0 {
 		inv.argsErr = &Error{Pos: f.Pos, Msg: "inverse fields take no arguments"}
 	}
@@ -446,7 +450,6 @@ func (c *compiler) compileInverse(defs map[string]inverseDef, f *Field) *invStep
 		}
 		inv.byLabel[l] = idx
 	}
-	c.p.invs = append(c.p.invs, inv)
 	return inv
 }
 

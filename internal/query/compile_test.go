@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"pgschema/internal/pg"
 	"pgschema/internal/values"
 )
 
@@ -177,4 +178,65 @@ func TestPlanConcurrentExecute(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestNestedInverseFields pins the query of examples/graphqlapi: an
+// inverse field inside another inverse field's selection must dispatch
+// on its own per-label row. The inner field once shared the outer
+// field's plan slot and failed with `type Instrument has no field
+// "_playsOfMusician"`.
+func TestNestedInverseFields(t *testing.T) {
+	s := build(t, `
+type Band @key(fields: ["name"]) {
+	name: String! @required
+	member(role: String, since: Int): [Musician] @distinct
+}
+type Musician @key(fields: ["name"]) {
+	name: String! @required
+	plays: [Instrument] @distinct
+}
+type Instrument @key(fields: ["label"]) {
+	label: String! @required
+}`)
+	g := pg.New()
+	node := func(label, key, name string) pg.NodeID {
+		n := g.AddNode(label)
+		g.SetNodeProp(n, key, values.String(name))
+		return n
+	}
+	band := node("Band", "name", "The Schemas")
+	ada := node("Musician", "name", "Ada")
+	cleo := node("Musician", "name", "Cleo")
+	keys := node("Instrument", "label", "keys")
+	g.MustAddEdge(band, ada, "member")
+	g.MustAddEdge(band, cleo, "member")
+	g.MustAddEdge(ada, keys, "plays")
+	g.MustAddEdge(cleo, keys, "plays")
+
+	src := `{ instrument(label: "keys") { label _playsOfMusician { name _memberOfBand { name } } } }`
+	doc, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Compile(s, doc).Execute(context.Background(), g, "")
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	want, err := ExecuteQuery(s, g, src)
+	if err != nil {
+		t.Fatalf("interpretive oracle: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("compiled %v, oracle %v", got, want)
+	}
+	players := got["instrument"].(map[string]any)["_playsOfMusician"].([]any)
+	if len(players) != 2 {
+		t.Fatalf("want both players of keys, got %v", players)
+	}
+	for _, p := range players {
+		bands := p.(map[string]any)["_memberOfBand"].([]any)
+		if len(bands) != 1 || bands[0].(map[string]any)["name"] != "The Schemas" {
+			t.Fatalf("player %v: want band The Schemas", p)
+		}
+	}
 }

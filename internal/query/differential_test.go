@@ -81,11 +81,17 @@ type qgen struct {
 	g   *pg.Graph
 
 	objTypes  []*schema.TypeDef
-	condNames []string            // candidate fragment conditions
-	inverses  map[string][]string // typeName -> applicable inverse field names
-	keyed     []*schema.TypeDef   // object types with @key
+	condNames []string              // candidate fragment conditions
+	inverses  map[string][]invField // typeName -> applicable inverse fields
+	keyed     []*schema.TypeDef     // object types with @key
 
 	frags []fragDef
+}
+
+// invField is an inverse traversal field and the type that declares
+// the relationship it inverts — the type the field's nodes have.
+type invField struct {
+	name, source string
 }
 
 type fragDef struct {
@@ -93,7 +99,7 @@ type fragDef struct {
 }
 
 func newQgen(rnd *rand.Rand, s *schema.Schema, g *pg.Graph) *qgen {
-	q := &qgen{rnd: rnd, s: s, g: g, inverses: make(map[string][]string)}
+	q := &qgen{rnd: rnd, s: s, g: g, inverses: make(map[string][]invField)}
 	q.objTypes = s.ObjectTypes()
 	for _, td := range s.Types() {
 		switch td.Kind {
@@ -111,7 +117,7 @@ func newQgen(rnd *rand.Rand, s *schema.Schema, g *pg.Graph) *qgen {
 			}
 			name := apigen.InverseFieldName(f.Name, td.Name)
 			for _, target := range q.s.ConcreteTargets(f.Type.Base()) {
-				q.inverses[target] = append(q.inverses[target], name)
+				q.inverses[target] = append(q.inverses[target], invField{name, td.Name})
 			}
 		}
 	}
@@ -262,11 +268,7 @@ func (q *qgen) genSelSet(typeName string, depth int) string {
 		}
 		// Inverse traversal fields.
 		if invs := q.inverses[typeName]; len(invs) > 0 && depth > 0 && q.rnd.Float64() < 0.4 {
-			name := invs[q.rnd.Intn(len(invs))]
-			// The inverse's source type varies per runtime label; a
-			// label-free body keeps generation simple and both engines
-			// honest about per-label dispatch.
-			items = append(items, name+" { __typename }")
+			items = append(items, q.genInverse(invs, depth))
 		}
 		// Inline fragments, sometimes on bogus conditions.
 		if depth > 0 && q.rnd.Float64() < 0.35 && len(q.condNames) > 0 {
@@ -289,6 +291,20 @@ func (q *qgen) genSelSet(typeName string, depth int) string {
 		items = append(items, "__typename")
 	}
 	return "{ " + strings.Join(items, " ") + " }"
+}
+
+// genInverse renders one inverse traversal field picked from invs. The
+// inverse's source type varies per runtime label, so the body stays
+// label-free apart from, sometimes, a further inverse field of the
+// source type: nested inverse fields must each dispatch on their own
+// per-label row.
+func (q *qgen) genInverse(invs []invField, depth int) string {
+	inv := invs[q.rnd.Intn(len(invs))]
+	body := "__typename"
+	if next := q.inverses[inv.source]; len(next) > 0 && depth > 1 && q.rnd.Float64() < 0.5 {
+		body += " " + q.genInverse(next, depth-1)
+	}
+	return inv.name + " { " + body + " }"
 }
 
 // genArgs renders an edge-property filter for a relationship field:

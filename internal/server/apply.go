@@ -213,18 +213,36 @@ func (h *Handler) serveApply(t *tenant, w http.ResponseWriter, r *http.Request) 
 	}
 	defer t.gmu.Unlock()
 
+	before := t.g.Epoch()
 	u, err := t.g.Apply(d)
 	if err != nil {
 		writeAPIError(w, http.StatusBadRequest, "applying delta: "+err.Error())
 		return
 	}
 	// The graph mutated (even a later requireValid rollback replays
-	// inverse mutations and advances the epoch), so persist the snapshot
-	// and refresh the cached stats on every path out of this handler.
-	// Deferred after the lock acquisition, so it runs before the writer
-	// lock is released.
-	defer h.persistTenant(t)
+	// inverse mutations and advances the epoch), so refresh the cached
+	// stats on every path out of this handler, before the writer lock
+	// is released. Every path that answers makes its outcome durable
+	// first: logged records are what a restart replays.
 	defer t.noteGraph()
+	// commit logs the applied delta, or undoes it and answers 500 with
+	// the error envelope when the log cannot take it: the server never
+	// acknowledges a delta that is not durable.
+	commit := func() bool {
+		err := h.reg.logApply(t, before, d, false)
+		if err == nil {
+			return true
+		}
+		msg := "persisting delta: " + err.Error()
+		if uerr := u.Undo(); uerr != nil {
+			msg += "; rolling back: " + uerr.Error()
+		} else {
+			msg += "; delta rolled back"
+			h.reg.rebase(t)
+		}
+		writeAPIError(w, http.StatusInternalServerError, msg)
+		return false
+	}
 	resp := applyResponse{
 		APIVersion: apiVersion,
 		Applied:    true,
@@ -246,7 +264,9 @@ func (h *Handler) serveApply(t *tenant, w http.ResponseWriter, r *http.Request) 
 	resp.Touched.Labels = tc.Labels
 
 	if !req.Revalidate && !req.RequireValid {
-		writeJSON(w, http.StatusOK, resp)
+		if commit() {
+			writeJSON(w, http.StatusOK, resp)
+		}
 		return
 	}
 
@@ -263,7 +283,13 @@ func (h *Handler) serveApply(t *tenant, w http.ResponseWriter, r *http.Request) 
 		// The run was cut short (request timeout / client gone): the
 		// graph cannot be certified, so the commit condition fails.
 		if err := u.Undo(); err != nil {
+			t.forgetLog()
 			writeAPIError(w, http.StatusInternalServerError, "rolling back uncertified delta: "+err.Error())
+			return
+		}
+		if err := h.reg.logApply(t, before, d, true); err != nil {
+			h.reg.rebase(t)
+			writeAPIError(w, http.StatusInternalServerError, "persisting rolled-back delta: "+err.Error())
 			return
 		}
 		writeAPIError(w, http.StatusServiceUnavailable,
@@ -273,13 +299,22 @@ func (h *Handler) serveApply(t *tenant, w http.ResponseWriter, r *http.Request) 
 	vr := t.validationResponse(res, "strong", elapsed, true)
 	if req.RequireValid && !res.OK() {
 		if err := u.Undo(); err != nil {
+			t.forgetLog()
 			writeAPIError(w, http.StatusInternalServerError, "rolling back invalid delta: "+err.Error())
+			return
+		}
+		if err := h.reg.logApply(t, before, d, true); err != nil {
+			h.reg.rebase(t)
+			writeAPIError(w, http.StatusInternalServerError, "persisting rolled-back delta: "+err.Error())
 			return
 		}
 		resp.Applied = false
 		resp.Epoch = t.g.Epoch()
 		resp.Validation = &vr
 		writeJSON(w, http.StatusConflict, resp)
+		return
+	}
+	if !commit() {
 		return
 	}
 	if !res.Incomplete {

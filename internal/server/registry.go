@@ -67,9 +67,22 @@ type tenant struct {
 	// bytes is the estimated resident footprint of the tenant's columnar
 	// snapshot, maintained on load, persist, and reload.
 	bytes atomic.Int64
-	// persisted reports a current .pgsnap of this tenant exists in the
-	// registry's snapshot directory — the precondition for eviction.
+	// persisted reports the tenant's .pgsnap plus .pglog in the
+	// registry's snapshot directory hold exactly its graph — the
+	// precondition for eviction.
 	persisted atomic.Bool
+
+	// log is the tenant's write-ahead log, open for appending, while
+	// the snapshot directory holds its snapshot plus that log; nil means
+	// the next apply writes a fresh snapshot and log instead of
+	// appending. snapBytes is the size of that snapshot file: the log is
+	// compacted when it grows to it. dropped marks a tenant deleted or
+	// replaced, whose file names now belong to no one or to its
+	// successor, so it persists nothing more. All three are guarded by
+	// gmu's writer side.
+	log       *pg.Log
+	snapBytes int64
+	dropped   bool
 	// residentBit mirrors g != nil so that listings, /metrics, and
 	// budget enforcement can check residency without touching gmu — a
 	// tenant mid-apply (writer lock held) must not stall reporting on
@@ -159,6 +172,10 @@ type Registry struct {
 	clock     atomic.Int64
 	evictions atomic.Int64
 	reloads   atomic.Int64
+
+	// wrapLog, when set, wraps the file of every log the registry opens:
+	// the seam tests inject write and sync faults through.
+	wrapLog func(pg.LogFile) pg.LogFile
 }
 
 func newRegistry(cfg RegistryConfig) (*Registry, error) {
@@ -175,10 +192,11 @@ func newRegistry(cfg RegistryConfig) (*Registry, error) {
 }
 
 // create builds and publishes a tenant from a seed. persist additionally
-// writes the tenant's schema (and graph, when present) into the
+// writes the tenant's snapshot, a fresh log and its schema into the
 // snapshot directory so a restart — and eviction reload — can recover
 // it. An existing tenant of the same name is replaced; in-flight
-// requests holding the old tenant finish against the old state.
+// requests holding the old tenant finish against the old state, which
+// persists nothing more once the new tenant's files are written.
 func (r *Registry) create(seed TenantSeed, persist bool) (*tenant, error) {
 	if !ValidTenantName(seed.Name) {
 		return nil, fmt.Errorf("invalid tenant name %q (want 1-64 characters of [A-Za-z0-9_-], starting alphanumeric)", seed.Name)
@@ -213,7 +231,23 @@ func (r *Registry) create(seed TenantSeed, persist bool) (*tenant, error) {
 	}
 	t.lastTouch.Store(r.clock.Add(1))
 	if persist && r.cfg.SnapshotDir != "" {
-		if err := r.persistTenant(t); err != nil {
+		// Hold the tenant being replaced while its files are rewritten,
+		// so that it cannot append to or rebase over its successor's.
+		r.mu.RLock()
+		old := r.tenants[t.name]
+		r.mu.RUnlock()
+		if old != nil {
+			old.gmu.Lock()
+		}
+		err := r.persistTenant(t)
+		if old != nil {
+			if err == nil {
+				old.drop()
+			}
+			old.gmu.Unlock()
+		}
+		if err != nil {
+			t.forgetLog()
 			return nil, err
 		}
 	}
@@ -257,11 +291,35 @@ func (r *Registry) delete(name string) bool {
 	if !ok {
 		return false
 	}
+	t.gmu.Lock()
+	t.drop()
+	t.gmu.Unlock()
 	if dir := r.cfg.SnapshotDir; dir != "" {
-		os.Remove(filepath.Join(dir, TenantSnapshotFile(t.name)))
+		// The schema file goes first: without it, restore skips the rest.
 		os.Remove(filepath.Join(dir, tenantSchemaFile(t.name)))
+		os.Remove(filepath.Join(dir, TenantSnapshotFile(t.name)))
+		os.Remove(filepath.Join(dir, tenantLogFile(t.name)))
 	}
 	return true
+}
+
+// drop retires a deleted or replaced tenant: it closes the log and
+// persists nothing more. Caller holds gmu exclusively.
+func (t *tenant) drop() {
+	t.forgetLog()
+	t.dropped = true
+}
+
+// forgetLog closes the tenant's log: its files no longer hold its
+// graph, and the next apply writes the whole graph instead of
+// appending. Caller holds gmu exclusively (or owns the tenant before
+// publication).
+func (t *tenant) forgetLog() {
+	if t.log != nil {
+		t.log.Close()
+		t.log = nil
+	}
+	t.persisted.Store(false)
 }
 
 // Names returns the hosted tenant names, sorted.
@@ -322,41 +380,127 @@ func TenantSnapshotFile(name string) string { return name + ".pgsnap" }
 // runtime, so a restart can re-create them: <name>.graphql.
 func tenantSchemaFile(name string) string { return name + ".graphql" }
 
-// persistTenant writes the tenant's schema SDL (when known) and current
-// graph snapshot into the snapshot directory. Called with the tenant
+// tenantLogFile is the tenant's write-ahead log beside its snapshot:
+// <name>.pglog.
+func tenantLogFile(name string) string { return name + ".pglog" }
+
+// LoadTenantGraph loads a persisted tenant graph: the snapshot at
+// snapPath with the write-ahead log beside it (the same name ending in
+// .pglog) folded in. It is the one loader behind start-up restore,
+// reload after eviction and the CLI's serve resume.
+func LoadTenantGraph(snapPath string) (*pg.Graph, pg.ReplayInfo, error) {
+	return pg.ReplayLog(snapPath, strings.TrimSuffix(snapPath, ".pgsnap")+".pglog")
+}
+
+// persistTenant writes the tenant's current graph as a new snapshot,
+// then a fresh log bound to it, then its schema SDL (when known) — the
+// commit marker restore looks for. It persists a created or replaced
+// tenant, compacts a log that has grown to the snapshot's size, and
+// rebases a tenant whose log is gone. Called with the tenant
 // unpublished or its writer lock held.
 func (r *Registry) persistTenant(t *tenant) error {
 	dir := r.cfg.SnapshotDir
-	if dir == "" {
+	if dir == "" || t.dropped {
 		return nil
 	}
-	if t.sdl != "" {
-		err := pg.WriteFileAtomic(filepath.Join(dir, tenantSchemaFile(t.name)), func(w io.Writer) error {
-			_, err := io.WriteString(w, t.sdl)
-			return err
-		})
-		if err != nil {
-			return fmt.Errorf("persisting tenant schema: %w", err)
-		}
-	}
-	if t.g == nil {
-		return nil // evicted: the persisted snapshot is already current
-	}
-	err := pg.WriteFileAtomic(filepath.Join(dir, TenantSnapshotFile(t.name)), func(w io.Writer) error {
-		return pg.WriteSnapshot(w, t.g.Snapshot())
-	})
+	t.forgetLog()
+	snap := filepath.Join(dir, TenantSnapshotFile(t.name))
+	s := t.g.Snapshot()
+	err := pg.WriteFileAtomic(snap, func(w io.Writer) error { return pg.WriteSnapshot(w, s) })
 	if err != nil {
 		return fmt.Errorf("persisting tenant snapshot: %w", err)
 	}
+	st, err := os.Stat(snap)
+	if err != nil {
+		return fmt.Errorf("persisting tenant snapshot: %w", err)
+	}
+	id, err := pg.ReadSnapshotID(snap)
+	if err != nil {
+		return fmt.Errorf("persisting tenant snapshot: %w", err)
+	}
+	l, err := pg.CreateLog(filepath.Join(dir, tenantLogFile(t.name)), id)
+	if err != nil {
+		return fmt.Errorf("starting tenant log: %w", err)
+	}
+	r.useLog(t, l, st.Size())
+	t.bytes.Store(s.MemoryFootprint())
+	return r.persistSchema(t)
+}
+
+// useLog installs l as the tenant's log over a snapshot file of
+// snapBytes bytes: from here on the files hold the tenant's graph.
+func (r *Registry) useLog(t *tenant, l *pg.Log, snapBytes int64) {
+	if r.wrapLog != nil {
+		l.WrapFile(r.wrapLog)
+	}
+	t.log, t.snapBytes = l, snapBytes
 	t.persisted.Store(true)
-	t.bytes.Store(t.g.Snapshot().MemoryFootprint())
+}
+
+// persistSchema writes the tenant's SDL source, when known. A schema
+// swap writes only this: the graph did not change.
+func (r *Registry) persistSchema(t *tenant) error {
+	dir := r.cfg.SnapshotDir
+	if dir == "" || t.dropped || t.sdl == "" {
+		return nil
+	}
+	err := pg.WriteFileAtomic(filepath.Join(dir, tenantSchemaFile(t.name)), func(w io.Writer) error {
+		_, err := io.WriteString(w, t.sdl)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("persisting tenant schema: %w", err)
+	}
 	return nil
 }
 
+// logApply makes an apply durable before its response is written: it
+// appends the record of delta d, applied at epoch before (and undone
+// again when undone is set), to the tenant's log and fsyncs it. An
+// apply that left the epoch where it was changed nothing and writes
+// nothing; a tenant without a log writes its whole graph instead, this
+// delta included. When the append fails, the log is closed and the
+// caller undoes the delta, calls rebase and reports the error. A log
+// that has grown to its snapshot's size is compacted afterwards; the
+// record is durable by then, so a failed compaction only leaves the
+// tenant to rebase on its next apply. Called with the writer lock
+// held.
+func (r *Registry) logApply(t *tenant, before uint64, d pg.Delta, undone bool) error {
+	if r.cfg.SnapshotDir == "" || t.dropped || t.g.Epoch() == before {
+		return nil
+	}
+	if t.log == nil {
+		return r.persistTenant(t)
+	}
+	if err := t.log.Append(&pg.LogRecord{Before: before, After: t.g.Epoch(), Undone: undone, Delta: d}); err != nil {
+		t.forgetLog()
+		return err
+	}
+	t.bytes.Store(t.g.Snapshot().MemoryFootprint())
+	if t.log.Size() >= t.snapBytes {
+		if err := r.persistTenant(t); err != nil && r.cfg.AccessLog != nil {
+			r.cfg.AccessLog.Error("compacting tenant log", "tenant", t.name, "error", err)
+		}
+	}
+	return nil
+}
+
+// rebase rewrites the tenant's snapshot from its graph and starts a
+// fresh log after an append failed, so a partial or unsynced record
+// left in the old log can never replay a delta the response rolled
+// back. If this fails too, the tenant has no log and its next apply
+// retries the rewrite before anything is acknowledged.
+func (r *Registry) rebase(t *tenant) {
+	if err := r.persistTenant(t); err != nil && r.cfg.AccessLog != nil {
+		r.cfg.AccessLog.Error("rewriting tenant snapshot after a failed log append", "tenant", t.name, "error", err)
+	}
+}
+
 // restore re-creates tenants persisted by a previous run: every
-// <name>.graphql in the snapshot directory (with its <name>.pgsnap when
-// present) becomes a tenant again. Seeded names win over persisted
-// state — the operator's explicit bootstrap is authoritative.
+// <name>.graphql in the snapshot directory (with its <name>.pgsnap and
+// <name>.pglog when present) becomes a tenant again. Seeded names win
+// over persisted state — the operator's explicit bootstrap is
+// authoritative.
 func (r *Registry) restore() error {
 	dir := r.cfg.SnapshotDir
 	if dir == "" {
@@ -383,22 +527,48 @@ func (r *Registry) restore() error {
 		}
 		seed := TenantSeed{Name: name, SDL: string(sdl)}
 		snapPath := filepath.Join(dir, TenantSnapshotFile(name))
-		hasSnap := false
+		var info pg.ReplayInfo
 		if st, err := os.Stat(snapPath); err == nil && st.Mode().IsRegular() {
-			g, err := pg.OpenSnapshot(snapPath)
-			if err != nil {
-				return fmt.Errorf("restoring tenant %q snapshot: %w", name, err)
+			if seed.Graph, info, err = LoadTenantGraph(snapPath); err != nil {
+				return fmt.Errorf("restoring tenant %q: %w", name, err)
 			}
-			seed.Graph = g
-			hasSnap = true
 		}
 		t, err := r.create(seed, false)
 		if err != nil {
 			return fmt.Errorf("restoring tenant %q: %w", name, err)
 		}
-		t.persisted.Store(hasSnap)
+		if seed.Graph != nil {
+			r.adoptLog(t, info)
+		}
 	}
 	return nil
+}
+
+// adoptLog reopens a restored tenant's log for appending after its
+// valid prefix, or — when there was none, or it was stale — starts a
+// fresh log bound to the snapshot. If neither works the tenant keeps no
+// log and its first apply rebases.
+func (r *Registry) adoptLog(t *tenant, info pg.ReplayInfo) {
+	dir := r.cfg.SnapshotDir
+	st, err := os.Stat(filepath.Join(dir, TenantSnapshotFile(t.name)))
+	if err != nil {
+		return
+	}
+	logPath := filepath.Join(dir, tenantLogFile(t.name))
+	var l *pg.Log
+	if info.LogSize > 0 {
+		l, err = pg.OpenLog(logPath, info.LogSize)
+	} else {
+		l, err = pg.CreateLog(logPath, info.Snapshot)
+	}
+	if err != nil {
+		if r.cfg.AccessLog != nil {
+			r.cfg.AccessLog.Error("opening tenant log", "tenant", t.name, "error", err)
+		}
+		t.persisted.Store(true) // the files still hold the graph
+		return
+	}
+	r.useLog(t, l, st.Size())
 }
 
 // rlock acquires the tenant's read lock with the graph resident,
@@ -432,8 +602,8 @@ func (r *Registry) wlock(t *tenant) error {
 	return nil
 }
 
-// reload maps the tenant's persisted snapshot back in after an
-// eviction.
+// reload loads the tenant's persisted snapshot and log back in after
+// an eviction.
 func (r *Registry) reload(t *tenant) error {
 	t.gmu.Lock()
 	defer t.gmu.Unlock()
@@ -444,8 +614,11 @@ func (r *Registry) reload(t *tenant) error {
 }
 
 func (r *Registry) reloadLocked(t *tenant) error {
+	if t.dropped {
+		return fmt.Errorf("tenant %q was deleted or replaced", t.name)
+	}
 	path := filepath.Join(r.cfg.SnapshotDir, TenantSnapshotFile(t.name))
-	g, err := pg.OpenSnapshot(path)
+	g, _, err := LoadTenantGraph(path)
 	if err != nil {
 		return fmt.Errorf("reloading evicted tenant %q from %s: %w", t.name, path, err)
 	}
@@ -508,7 +681,8 @@ func (r *Registry) enforceBudget(exclude *tenant) {
 // schema and compiled program stay — they are small and reload would
 // recompile them identically. The mapped or heap graph memory is
 // released to the collector / the OS page cache; the next request
-// reloads from the persisted .pgsnap in O(header).
+// reloads from the persisted .pgsnap in O(header), plus a replay of the
+// records its .pglog holds. The log stays open for appending.
 func (r *Registry) tryEvict(t *tenant) bool {
 	if !t.gmu.TryLock() {
 		return false

@@ -96,14 +96,17 @@ type Config struct {
 	// and timeout, which would otherwise kill a 30s CPU profile.
 	EnablePprof bool
 	// SnapshotDir, when non-empty, makes the registry persist each
-	// tenant's graph as <SnapshotDir>/<tenant>.pgsnap after every
-	// mutation through its /graph/apply (written to a temp file and
-	// renamed, so a crash mid-write never leaves a torn snapshot), and
-	// each runtime-created tenant's schema as <tenant>.graphql. A
-	// process restarted with the same directory re-creates those tenants
-	// and memory-maps their snapshots, resuming at the last committed
-	// epochs instead of re-ingesting source data. The directory is also
-	// what makes eviction under RegistryConfig.MemoryBudget possible.
+	// tenant's graph as <SnapshotDir>/<tenant>.pgsnap (written to a
+	// temp file and renamed, so a crash mid-write never leaves a torn
+	// snapshot) plus a write-ahead log <tenant>.pglog that every
+	// mutation through its /graph/apply appends to and fsyncs before
+	// answering, and each runtime-created tenant's schema as
+	// <tenant>.graphql. A log that grows to its snapshot's size is
+	// compacted into a new snapshot. A process restarted with the same
+	// directory re-creates those tenants, memory-maps their snapshots
+	// and replays their logs, resuming at the last acknowledged epochs
+	// instead of re-ingesting source data. The directory is also what
+	// makes eviction under RegistryConfig.MemoryBudget possible.
 	SnapshotDir string
 }
 

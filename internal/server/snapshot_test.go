@@ -11,8 +11,10 @@ import (
 )
 
 // TestApplyPersistsSnapshot: with SnapshotDir configured, every
-// /graph/apply leaves a loadable .pgsnap behind that carries the
-// committed state and epoch, so a restart can resume from it.
+// /graph/apply leaves a verifiable .pgsnap plus a write-ahead log behind
+// that together carry the committed state and epoch, so a restart can
+// resume from them. The first apply writes the snapshot; the second
+// only appends to the log.
 func TestApplyPersistsSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	h := newTestHandlerConfig(t, Config{SnapshotDir: dir})
@@ -44,18 +46,31 @@ func TestApplyPersistsSnapshot(t *testing.T) {
 		t.Errorf("persisted snapshot misses the new node's property: %v %v", v, ok)
 	}
 
-	// A second mutation overwrites the file with the newer epoch.
+	// A second mutation leaves the snapshot as it is and appends to the
+	// log; the loader folds it in at the newer epoch.
+	snapEpoch := out.Epoch
 	rec, out = postApply(t, mux, `{"addNodes": [{"label": "City", "props": {"name": "Gent"}}]}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
 	resumed2, err := pg.OpenSnapshot(path, pg.Verify())
 	if err != nil {
-		t.Fatalf("opening re-persisted snapshot: %v", err)
+		t.Fatalf("opening the persisted snapshot again: %v", err)
 	}
-	defer resumed2.Close()
-	if resumed2.Epoch() != out.Epoch {
-		t.Errorf("re-persisted epoch %d, response says %d", resumed2.Epoch(), out.Epoch)
+	resumed2.Close()
+	if resumed2.Epoch() != snapEpoch {
+		t.Errorf("snapshot rewritten by an apply that should only append: epoch %d, want %d", resumed2.Epoch(), snapEpoch)
+	}
+	loaded, info, err := LoadTenantGraph(path)
+	if err != nil {
+		t.Fatalf("loading snapshot and log: %v", err)
+	}
+	defer loaded.Close()
+	if loaded.Epoch() != out.Epoch || info.Records != 1 {
+		t.Errorf("loaded epoch %d from %d log records, response says %d", loaded.Epoch(), info.Records, out.Epoch)
+	}
+	if v, ok := loaded.NodeProp(pg.NodeID(out.NewNodes[0]), "name"); !ok || !v.Equal(values.String("Gent")) {
+		t.Errorf("loaded graph misses the logged node's property: %v %v", v, ok)
 	}
 }
 

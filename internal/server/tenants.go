@@ -92,14 +92,15 @@ type tenantInfo struct {
 	Edges int64  `json:"edges"`
 	Epoch uint64 `json:"epoch"`
 	// Resident reports the columnar snapshot is in memory; an evicted
-	// tenant reloads it from its persisted .pgsnap on the next request.
+	// tenant reloads it from its persisted .pgsnap and .pglog on the
+	// next request.
 	Resident bool `json:"resident"`
 	// MemoryBytes is the estimated resident footprint counted against
 	// the registry's memory budget (0 while evicted).
 	MemoryBytes int64 `json:"memoryBytes"`
-	// Persisted reports a current snapshot of the tenant exists in the
-	// snapshot directory — the precondition for eviction and restart
-	// recovery.
+	// Persisted reports the tenant's snapshot and log in the snapshot
+	// directory hold its current graph — the precondition for eviction
+	// and restart recovery.
 	Persisted bool `json:"persisted"`
 }
 
@@ -279,7 +280,18 @@ func (h *Handler) serveTenantSchema(w http.ResponseWriter, r *http.Request) {
 			t.valMu.Lock()
 			t.lastResult = nil
 			t.valMu.Unlock()
-			h.persistTenant(t)
+			persist := h.reg.persistSchema
+			if !t.persisted.Load() && t.g != nil {
+				// The graph is not on disk yet (a seeded tenant before
+				// its first apply): write it too, so a schema file never
+				// names a graph a restart cannot find.
+				persist = h.reg.persistTenant
+			}
+			if err := persist(t); err != nil && h.cfg.AccessLog != nil {
+				// The in-memory schema is the source of truth; the file
+				// is what a restart reads back.
+				h.cfg.AccessLog.Error("persisting tenant schema", "tenant", t.name, "error", err)
+			}
 		}
 		t.gmu.Unlock()
 		if err != nil {
@@ -290,15 +302,5 @@ func (h *Handler) serveTenantSchema(w http.ResponseWriter, r *http.Request) {
 	default:
 		w.Header().Set("Allow", "GET, POST")
 		writeAPIError(w, http.StatusMethodNotAllowed, "use GET or POST")
-	}
-}
-
-// persistTenant persists the tenant's schema and snapshot, logging
-// rather than failing on error: the in-memory state is the source of
-// truth, the files are a warm-start cache. Called with the tenant's
-// writer lock held.
-func (h *Handler) persistTenant(t *tenant) {
-	if err := h.reg.persistTenant(t); err != nil && h.cfg.AccessLog != nil {
-		h.cfg.AccessLog.Error("persisting tenant", "tenant", t.name, "error", err)
 	}
 }
