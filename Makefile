@@ -2,9 +2,9 @@
 # under the race detector, and keep the fused engine in agreement with
 # its test oracles (the differential harness runs under -race as part of
 # `race`; the dedicated `differential` target re-runs just it, shuffled).
-.PHONY: check build vet test race api-golden differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke bench-serve scale-smoke scale-differential stream-smoke snapshot-differential clean
+.PHONY: check build vet test race api-golden differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke fuzz-apply-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke bench-serve scale-smoke scale-differential stream-smoke snapshot-differential clean
 
-check: build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
+check: build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke fuzz-apply-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
 
 build:
 	go build ./...
@@ -148,6 +148,14 @@ fuzz-snapshot-smoke:
 # leave a snapshot that agrees with a full rebuild.
 fuzz-wal-smoke:
 	go test -run '^$$' -fuzz FuzzReplayLog -fuzztime 10s ./internal/pg/
+
+# A short coverage-guided run of the wire-delta fuzz target: any body
+# posted to /graph/apply on a small keyed tenant must answer without a
+# panic or a 5xx; a rejected apply must leave the epoch and snapshot
+# bytes unchanged, and after an accepted one every patched key index,
+# its conflicts and the label lists must equal a fresh build's.
+fuzz-apply-smoke:
+	go test -run '^$$' -fuzz FuzzApplyBody -fuzztime 10s ./internal/server/
 
 # E14 — durable snapshots: WriteGraphSnapshot/OpenGraphSnapshot against
 # the streaming CSV loader (cold-start latency) and mapped vs heap

@@ -489,6 +489,39 @@ func BenchmarkIncremental(b *testing.B) {
 		}
 		b.Run(arm.name+"/incremental", func(b *testing.B) { roundTrip(b, delta, true) })
 	}
+	// add-then-lookup times one Author addition with the first key
+	// lookup and keyed revalidation after it, which read the Author key
+	// index the apply patched forward.
+	doc, err := pgschema.ParseQuery(`{ author(name: "bench-added") { name } }`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lookup := pgschema.CompileQuery(s, doc)
+	add := pgschema.GraphDelta{AddNodes: []pgschema.AddNodeSpec{{
+		Label: "Author", Props: []pgschema.PropEntry{{Name: "name", Value: pgschema.String("bench-added")}},
+	}}}
+	b.Run("node=1/Author/add-then-lookup", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			u, err := g.Apply(add)
+			if err != nil {
+				b.Fatal(err)
+			}
+			data, err := lookup.Execute(ctx, g, "")
+			if err != nil || data["author"] == nil {
+				b.Fatalf("lookup of the added author: %v, %v", data, err)
+			}
+			if !pgschema.Revalidate(ctx, s, g, base, pgschema.DeltaFor(u.Touched()), opts).OK() {
+				b.Fatal("unexpected violations")
+			}
+			b.StopTimer()
+			if err := u.Undo(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(1, "delta-elems")
+		b.ReportMetric(float64(elems), "graph-elems")
+	})
 	for _, arm := range []struct{ label, prop string }{{"Book", "pages"}, {"Author", "name"}} {
 		delta := batch(arm.label, arm.prop, 1)
 		b.Run("node=1/"+arm.label+"/after-apply", func(b *testing.B) { roundTrip(b, delta, true) })

@@ -488,7 +488,9 @@ func parseTenantSeed(spec, snapDir string) (server.TenantSeed, error) {
 	var g *pg.Graph
 	if p := filepath.Join(snapDir, server.TenantSnapshotFile(seed.Name)); snapDir != "" && fileExists(p) {
 		fmt.Printf("resuming tenant %q from persisted snapshot %s\n", seed.Name, p)
-		g, _, err = server.LoadTenantGraph(p)
+		var info pg.ReplayInfo
+		g, info, err = server.LoadTenantGraph(p)
+		seed.Replay = &info
 	} else if len(parts) == 3 {
 		g, err = loadGraph(parts[2])
 	}
@@ -581,7 +583,11 @@ func cmdServe(args []string) error {
 	} else {
 		var g *pg.Graph
 		if resumed {
-			g, _, err = server.LoadTenantGraph(graphArg)
+			var info pg.ReplayInfo
+			g, info, err = server.LoadTenantGraph(graphArg)
+			if graphArg == filepath.Join(*snapDir, server.TenantSnapshotFile(server.DefaultTenant)) {
+				defaultSeed.Replay = &info // the default tenant's own log: keep appending to it
+			}
 		} else {
 			g, err = loadGraph(graphArg)
 		}

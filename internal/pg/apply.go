@@ -2,6 +2,7 @@ package pg
 
 import (
 	"fmt"
+	"slices"
 
 	"pgschema/internal/values"
 )
@@ -590,21 +591,21 @@ func (c *changeSet) finishTouched() Touched {
 		for id := range c.tNodes {
 			t.Nodes = append(t.Nodes, id)
 		}
-		sortNodeIDs(t.Nodes)
+		slices.Sort(t.Nodes)
 	}
 	if len(c.tEdges) > 0 {
 		t.Edges = make([]EdgeID, 0, len(c.tEdges))
 		for id := range c.tEdges {
 			t.Edges = append(t.Edges, id)
 		}
-		sortEdgeIDs(t.Edges)
+		slices.Sort(t.Edges)
 	}
 	if len(c.tLabels) > 0 {
 		t.Labels = make([]string, 0, len(c.tLabels))
 		for l := range c.tLabels {
 			t.Labels = append(t.Labels, l)
 		}
-		sortStrings(t.Labels)
+		slices.Sort(t.Labels)
 	}
 	return t
 }
@@ -632,7 +633,7 @@ func (c *changeSet) patchPlan(g *Graph) patchPlan {
 			edgeDirty = append(edgeDirty, id)
 		}
 	}
-	sortEdgeIDs(edgeDirty)
+	slices.Sort(edgeDirty)
 	labels := make(map[Sym]struct{}, len(c.tLabels)+len(c.tNodes))
 	for l := range c.tLabels {
 		if sym, ok := g.syms.lookup(l); ok {
@@ -658,6 +659,6 @@ func (c *changeSet) patchPlan(g *Graph) patchPlan {
 	for id := range nodeSet {
 		p.nodeDirty = append(p.nodeDirty, id)
 	}
-	sortNodeIDs(p.nodeDirty)
+	slices.Sort(p.nodeDirty)
 	return p
 }

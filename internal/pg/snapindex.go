@@ -1,7 +1,10 @@
 package pg
 
 import (
+	"bytes"
 	"cmp"
+	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -33,18 +36,25 @@ type snapIndexes struct {
 	keys map[Sym][]*keyIndex // by first label sym
 }
 
-// keyIndex groups the live nodes of one or more labels by their
-// rendered key tuple over props. Bucket b holds nodes[off[b]:off[b+1]],
-// label by label in the index's label order, ascending within a label
-// (for a single label, plain ascending id order); buckets are numbered
-// in the order their first node is met.
+// keyIndex groups the live nodes of one or more distinct labels by
+// their rendered key tuple over props. A bucket lists its nodes label
+// by label in the index's label order, ascending within a label (for a
+// single label, plain ascending id order).
+//
+// A from-scratch build holds bucket b as nodes[off[b]:off[b+1]],
+// buckets numbered in the order their first node is met. A patched
+// index (base != nil) holds only the buckets that differ from base, the
+// from-scratch build it descends from; every other bucket is base's.
 type keyIndex struct {
 	labels, props []Sym
 	once          sync.Once
-	built         atomic.Bool       // set inside once, after the build
+	built         atomic.Bool       // set after the build; before publication for a patched index
 	bucketOf      map[string]uint32 // rendered tuple → bucket
 	off           []uint32
 	nodes         []NodeID
+
+	base *keyIndex
+	over map[string][]NodeID // tuple → bucket where it differs from base's (nil: now empty)
 
 	conflictOnce sync.Once
 	conflicts    []KeyConflict
@@ -136,12 +146,22 @@ func (s *Snapshot) KeyBucket(label Sym, props []Sym, tuple string) []NodeID {
 // KeyBucketIn is KeyBucket over the union of several labels — the
 // nodes of an interface or union type. The bucket lists the nodes label
 // by label in the order of labels, ascending within each label. Labels
-// must be valid syms.
+// must be distinct valid syms.
 func (s *Snapshot) KeyBucketIn(labels, props []Sym, tuple string) []NodeID {
 	if len(labels) == 0 {
 		return nil
 	}
-	k := s.keyIndex(labels, props)
+	return s.keyIndex(labels, props).lookup(tuple)
+}
+
+// lookup returns the bucket of tuple, nil when no node renders to it.
+func (k *keyIndex) lookup(tuple string) []NodeID {
+	if k.base != nil {
+		if nodes, ok := k.over[tuple]; ok {
+			return nodes
+		}
+		k = k.base
+	}
 	b, ok := k.bucketOf[tuple]
 	if !ok {
 		return nil
@@ -162,8 +182,32 @@ func (s *Snapshot) KeyConflicts(labels, props []Sym) []KeyConflict {
 	if len(labels) == 0 {
 		return nil
 	}
-	k := s.keyIndex(labels, props)
+	return s.keyIndex(labels, props).conflictList(s)
+}
+
+// conflictList memoises KeyConflicts for k on s. A from-scratch build
+// lists its buckets of two or more nodes by bucket number. A patched
+// index takes its base's list less the overridden tuples, adds its
+// overrides of two or more nodes, and re-sorts by first node in
+// enumeration order — the order a from-scratch build would number
+// them in.
+func (k *keyIndex) conflictList(s *Snapshot) []KeyConflict {
 	k.conflictOnce.Do(func() {
+		if k.base != nil {
+			for _, c := range k.base.conflictList(s) {
+				if _, ok := k.over[c.Tuple]; !ok {
+					k.conflicts = append(k.conflicts, c)
+				}
+			}
+			for tuple, nodes := range k.over {
+				if len(nodes) >= 2 {
+					k.conflicts = append(k.conflicts, KeyConflict{Tuple: tuple, Nodes: nodes})
+				}
+			}
+			order := k.enumOrder(s)
+			slices.SortFunc(k.conflicts, func(x, y KeyConflict) int { return order(x.Nodes[0], y.Nodes[0]) })
+			return
+		}
 		type numbered struct {
 			b     uint32
 			tuple string
@@ -181,6 +225,19 @@ func (s *Snapshot) KeyConflicts(labels, props []Sym) []KeyConflict {
 		}
 	})
 	return k.conflicts
+}
+
+// enumOrder compares two of k's nodes of snapshot s by their position
+// in k's enumeration: label position in k.labels, then id.
+func (k *keyIndex) enumOrder(s *Snapshot) func(a, b NodeID) int {
+	if len(k.labels) == 1 {
+		return cmp.Compare[NodeID]
+	}
+	return func(a, b NodeID) int {
+		return cmp.Or(
+			cmp.Compare(slices.Index(k.labels, s.nodeLabels[a]), slices.Index(k.labels, s.nodeLabels[b])),
+			cmp.Compare(a, b))
+	}
 }
 
 // KeyTuple renders node v's key tuple over props — the string the key
@@ -215,6 +272,9 @@ func (s *Snapshot) keyIndex(labels, props []Sym) *keyIndex {
 		x.keys[labels[0]] = append(x.keys[labels[0]], k)
 	}
 	x.mu.Unlock()
+	if k.built.Load() {
+		return k
+	}
 	k.once.Do(func() {
 		n := 0
 		for _, l := range k.labels {
@@ -257,36 +317,232 @@ func (s *Snapshot) keyIndex(labels, props []Sym) *keyIndex {
 	return k
 }
 
-// carryOver returns the memo for a patched successor snapshot: it keeps
-// every built key index none of whose labels is in touched (the labels
-// of nodes the apply added, removed, relabelled or re-propertied), and
-// the per-label enumeration when labelsKept (no node was added, removed
-// or relabelled). Both are pure functions of content the apply did not
-// change, so the successor would rebuild them identically.
-func (x *snapIndexes) carryOver(touched func(Sym) bool, labelsKept bool) *snapIndexes {
+// patchIndexes returns the memo of s, the snapshot patchSnapshot
+// derived from old under plan p. Nothing is rebuilt from scratch: the
+// label lists come forward with only the changed labels' lists
+// rewritten, and every built key index comes forward — untouched ones
+// as they are, touched ones patched (patchedKey), unless patching would
+// outgrow the fold limit; the next reader rebuilds those.
+func (x *snapIndexes) patchIndexes(old, s *Snapshot, p *patchPlan) *snapIndexes {
 	nx := newSnapIndexes()
-	if labelsKept && x.enumDone.Load() {
-		byLabel := x.byLabel
+	if x.enumDone.Load() {
+		byLabel := x.patchLabelNodes(old, s, p)
 		nx.enumOnce.Do(func() {
 			nx.byLabel = byLabel
 			nx.enumDone.Store(true)
 		})
 	}
+	touched := func(l Sym) bool {
+		_, ok := p.touchedLabels[l]
+		return ok
+	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	for first, ks := range x.keys {
-	next:
 		for _, k := range ks {
 			if !k.built.Load() {
 				continue
 			}
-			for _, l := range k.labels {
-				if touched(l) {
-					continue next
+			if slices.ContainsFunc(k.labels, touched) {
+				if k = k.patchedKey(old, s, p.nodeDirty); k == nil {
+					continue
 				}
 			}
 			nx.keys[first] = append(nx.keys[first], k)
 		}
 	}
 	return nx
+}
+
+// labelOf returns λ(v) in s, NoSym for a removed node or an id past
+// s's bound.
+func (s *Snapshot) labelOf(v NodeID) Sym {
+	if int(v) >= len(s.nodeLabels) {
+		return NoSym
+	}
+	return s.nodeLabels[v]
+}
+
+// patchLabelNodes derives s's label lists from x's, those of old: only
+// a label that gained or lost a dirty node gets a new list, the old
+// one less the nodes it lost plus those it gained.
+func (x *snapIndexes) patchLabelNodes(old, s *Snapshot, p *patchPlan) [][]NodeID {
+	if !p.nodeLabelsChanged {
+		return x.byLabel
+	}
+	type change struct{ gained, lost []NodeID } // ascending, as nodeDirty is
+	changes := make(map[Sym]*change)
+	at := func(l Sym) *change {
+		c := changes[l]
+		if c == nil {
+			c = &change{}
+			changes[l] = c
+		}
+		return c
+	}
+	for _, v := range p.nodeDirty {
+		was, is := old.labelOf(v), s.labelOf(v)
+		if was == is {
+			continue
+		}
+		if was != NoSym {
+			at(was).lost = append(at(was).lost, v)
+		}
+		if is != NoSym {
+			at(is).gained = append(at(is).gained, v)
+		}
+	}
+	if len(changes) == 0 {
+		return x.byLabel
+	}
+	out := make([][]NodeID, max(len(x.byLabel), len(s.symNames)))
+	copy(out, x.byLabel)
+	oldNN := NodeID(len(old.nodeLabels))
+	for l, c := range changes {
+		list := make([]NodeID, 0, len(out[l])+len(c.gained))
+		for _, v := range out[l] {
+			if _, lost := slices.BinarySearch(c.lost, v); !lost {
+				list = append(list, v)
+			}
+		}
+		list = append(list, c.gained...)
+		if len(c.gained) > 0 && c.gained[0] < oldNN {
+			slices.Sort(list) // a relabelled node joins mid-list; new ids sort last
+		}
+		if len(list) == 0 {
+			list = nil
+		}
+		out[l] = slices.Clip(list)
+	}
+	return out
+}
+
+// patchedKey returns k carried forward from old to s across the dirty
+// nodes (ascending): k itself when no dirty node entered, left or moved
+// within k; otherwise a patched index whose overrides replace each
+// bucket a dirty node left or joined, recomputed from the current
+// bucket without the changed nodes plus the changed nodes that now
+// render to it. It returns nil — a fold: the next reader rebuilds from
+// scratch — when the overrides would outgrow 1/patchFraction of the
+// base's buckets.
+func (k *keyIndex) patchedKey(old, s *Snapshot, dirty []NodeID) *keyIndex {
+	changed := make(map[NodeID]bool)
+	joined := make(map[string][]NodeID) // affected tuple → changed nodes now in its bucket
+	var was, is []byte
+	for _, v := range dirty {
+		oldL, newL := old.labelOf(v), s.labelOf(v)
+		oldIn, newIn := oldL != NoSym && slices.Contains(k.labels, oldL), newL != NoSym && slices.Contains(k.labels, newL)
+		if !oldIn && !newIn {
+			continue
+		}
+		if oldIn {
+			was = old.appendKeyTuple(was[:0], v, k.props)
+		}
+		if newIn {
+			is = s.appendKeyTuple(is[:0], v, k.props)
+		}
+		if oldIn && newIn && oldL == newL && bytes.Equal(was, is) {
+			continue
+		}
+		changed[v] = true
+		if oldIn {
+			if _, ok := joined[string(was)]; !ok {
+				joined[string(was)] = nil
+			}
+		}
+		if newIn {
+			joined[string(is)] = append(joined[string(is)], v)
+		}
+	}
+	if len(changed) == 0 {
+		return k
+	}
+	base := k
+	if k.base != nil {
+		base = k.base
+	}
+	n := len(k.over)
+	for tuple := range joined {
+		if _, ok := k.over[tuple]; !ok {
+			n++
+		}
+	}
+	if n*patchFraction > len(base.off)-1 {
+		return nil
+	}
+	over := make(map[string][]NodeID, n)
+	maps.Copy(over, k.over)
+	order := k.enumOrder(s)
+	for tuple, in := range joined {
+		cur := k.lookup(tuple)
+		b := make([]NodeID, 0, len(cur)+len(in))
+		for _, v := range cur {
+			if !changed[v] {
+				b = append(b, v)
+			}
+		}
+		b = append(b, in...)
+		slices.SortFunc(b, order)
+		if len(b) == 0 {
+			b = nil
+		}
+		over[tuple] = slices.Clip(b)
+	}
+	nk := &keyIndex{labels: k.labels, props: k.props, base: base, over: over}
+	nk.built.Store(true)
+	return nk
+}
+
+// VerifyIndexes checks the indexes built so far on the graph's cached
+// snapshot — patched forward by Apply or built on it — against a
+// from-scratch build of the graph: every label list, and every key
+// index's buckets and conflicts. It reports the first difference. It
+// costs a full snapshot build, so it is for tests and fuzz targets.
+func (g *Graph) VerifyIndexes() error {
+	s := g.snap.Load()
+	if s == nil || s.epoch != g.epoch {
+		return nil // no snapshot of the current state: nothing was patched
+	}
+	fresh := g.buildSnapshot()
+	x := s.idx
+	if x.enumDone.Load() {
+		for sym := range max(len(x.byLabel), len(fresh.symNames)) {
+			if got, want := s.LabelNodes(Sym(sym)), fresh.LabelNodes(Sym(sym)); !slices.Equal(got, want) {
+				return fmt.Errorf("LabelNodes(sym %d) = %v, want %v", sym, got, want)
+			}
+		}
+	}
+	x.mu.Lock()
+	var built []*keyIndex
+	for _, ks := range x.keys {
+		for _, k := range ks {
+			if k.built.Load() {
+				built = append(built, k)
+			}
+		}
+	}
+	x.mu.Unlock()
+	for _, k := range built {
+		want := fresh.keyIndex(k.labels, k.props)
+		tuples := maps.Clone(want.bucketOf)
+		maps.Copy(tuples, k.bucketOf)
+		if k.base != nil {
+			maps.Copy(tuples, k.base.bucketOf)
+			for tuple := range k.over {
+				tuples[tuple] = 0
+			}
+		}
+		for tuple := range tuples {
+			if got, want := k.lookup(tuple), want.lookup(tuple); !slices.Equal(got, want) {
+				return fmt.Errorf("key index %v over %v: bucket %q = %v, want %v", k.labels, k.props, tuple, got, want)
+			}
+		}
+		got, wantC := k.conflictList(s), want.conflictList(fresh)
+		for i := range max(len(got), len(wantC)) {
+			if i >= len(got) || i >= len(wantC) || got[i].Tuple != wantC[i].Tuple || !slices.Equal(got[i].Nodes, wantC[i].Nodes) {
+				return fmt.Errorf("key index %v over %v: conflicts differ from position %d (%d conflicts, want %d)", k.labels, k.props, i, len(got), len(wantC))
+			}
+		}
+	}
+	return nil
 }

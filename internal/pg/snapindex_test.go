@@ -203,12 +203,13 @@ func TestKeyPartRendering(t *testing.T) {
 	}
 }
 
-// TestPatchCarriesUntouchedIndexes checks that a patched snapshot keeps
-// the derived indexes the apply could not have changed: after a
-// Book-only property edit, the Author key index is the very index the
-// old snapshot built, and its buckets equal a fresh build's; the Book
-// index is rebuilt. A node addition drops the label enumeration, and
-// with it every index over the added node's label.
+// TestPatchCarriesUntouchedIndexes checks that a patched snapshot
+// keeps the derived indexes the apply could not have changed and
+// patches the rest: after a Book-only property edit, the Author key
+// index is the very index the old snapshot built, and the Book index
+// is patched over the old build (not rebuilt) with buckets and
+// conflicts equal to a fresh build's. A node addition patches the label
+// enumeration forward, equal to a fresh build's.
 func TestPatchCarriesUntouchedIndexes(t *testing.T) {
 	g := New()
 	var books []NodeID
@@ -227,6 +228,7 @@ func TestPatchCarriesUntouchedIndexes(t *testing.T) {
 	}
 	old := g.Snapshot()
 	oldAuthors, oldBooks := keyOf(old, author, name), keyOf(old, book, pages)
+	old.LabelNodes(book)
 
 	if _, err := g.Apply(Delta{SetNodeProps: []NodePropSpec{{Node: books[3], Name: "pages", Value: values.Int(999)}}}); err != nil {
 		t.Fatal(err)
@@ -241,25 +243,11 @@ func TestPatchCarriesUntouchedIndexes(t *testing.T) {
 	if k := keyOf(patched, author, name); k != oldAuthors {
 		t.Fatal("Author key index rebuilt after a Book-only apply")
 	}
-	if k := keyOf(patched, book, pages); k == oldBooks {
-		t.Fatal("Book key index carried over an apply that edited a Book")
+	if k := keyOf(patched, book, pages); k == oldBooks || k.base != oldBooks || len(k.over) != 2 {
+		t.Fatalf("Book key index not patched over the old build: base %p (want %p), %d overrides (want 2)", k.base, oldBooks, len(k.over))
 	}
-	fresh := g.buildSnapshot()
-	for _, lp := range [][2]Sym{{author, name}, {book, pages}} {
-		got, want := keyOf(patched, lp[0], lp[1]), keyOf(fresh, lp[0], lp[1])
-		if !slices.Equal(got.off, want.off) || !slices.Equal(got.nodes, want.nodes) || len(got.bucketOf) != len(want.bucketOf) {
-			t.Fatalf("index over %v differs from a fresh build", lp)
-		}
-		for tuple, b := range want.bucketOf {
-			if gb, ok := got.bucketOf[tuple]; !ok || !slices.Equal(got.bucket(gb), want.bucket(b)) {
-				t.Fatalf("index over %v: bucket %q differs from a fresh build", lp, tuple)
-			}
-		}
-		if !slices.EqualFunc(patched.KeyConflicts(lp[:1], lp[1:]), fresh.KeyConflicts(lp[:1], lp[1:]), func(a, b KeyConflict) bool {
-			return a.Tuple == b.Tuple && slices.Equal(a.Nodes, b.Nodes)
-		}) {
-			t.Fatalf("index over %v: conflicts differ from a fresh build", lp)
-		}
+	if err := g.VerifyIndexes(); err != nil {
+		t.Fatal(err)
 	}
 
 	before := keyOf(patched, author, name)
@@ -267,13 +255,16 @@ func TestPatchCarriesUntouchedIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	added := g.Snapshot()
-	if added.idx.enumDone.Load() {
-		t.Fatal("label enumeration carried over a node addition")
+	if !added.idx.enumDone.Load() {
+		t.Fatal("label enumeration not patched over a node addition")
 	}
 	if keyOf(added, author, name) != before {
 		t.Fatal("Author key index rebuilt after a Book addition")
 	}
 	if got, want := added.LabelNodes(book), g.buildSnapshot().LabelNodes(book); !slices.Equal(got, want) {
 		t.Fatalf("Book enumeration after an addition: %v, want %v", got, want)
+	}
+	if err := g.VerifyIndexes(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,10 +1,6 @@
 package pg
 
-import (
-	"sort"
-
-	"pgschema/internal/values"
-)
+import "pgschema/internal/values"
 
 // Snapshot patching: Apply knows exactly which elements a delta
 // touched, so instead of paying the O(V+E) columnar rebuild on the
@@ -23,8 +19,8 @@ type patchPlan struct {
 	nodeDirty []NodeID
 	edgeDirty []EdgeID
 	// touchedLabels holds the label syms whose nodes' existence, label
-	// or properties changed: the key indexes over them are rebuilt,
-	// all others carried over.
+	// or properties changed: the key indexes over them are patched, all
+	// others carried over as they are.
 	touchedLabels map[Sym]struct{}
 
 	nodeLabelsChanged    bool
@@ -35,8 +31,10 @@ type patchPlan struct {
 	edgePropsChanged     bool
 }
 
-// patchFraction caps how dirty a graph may be before patching loses to
-// a plain rebuild: beyond 1/8 of all elements, give up.
+// patchFraction caps how much a patch may cover before it loses to a
+// plain rebuild: a delta dirtying more than 1/8 of all elements gives
+// up on the snapshot, and a key index whose overrides outgrow 1/8 of
+// its base's buckets folds (the next reader rebuilds it).
 const patchFraction = 8
 
 // patchSnapshot builds the snapshot of the graph's current state from
@@ -51,12 +49,7 @@ func (g *Graph) patchSnapshot(old *Snapshot, p patchPlan) *Snapshot {
 	}
 	oldNN := len(old.nodeLabels)
 
-	touched := func(l Sym) bool {
-		_, ok := p.touchedLabels[l]
-		return ok
-	}
 	s := &Snapshot{
-		idx:       old.idx.carryOver(touched, !p.nodeLabelsChanged),
 		epoch:     g.epoch,
 		liveNodes: g.NumNodes(),
 		liveEdges: g.NumEdges(),
@@ -166,6 +159,7 @@ func (g *Graph) patchSnapshot(old *Snapshot, p patchPlan) *Snapshot {
 		s.edgePropRecs = old.edgePropRecs
 	}
 
+	s.idx = old.idx.patchIndexes(old, s, &p)
 	return s
 }
 
@@ -472,13 +466,3 @@ func (g *Graph) patchPropSets(old [][]uint64, dirty []NodeID, oldNN int) [][]uin
 	}
 	return sets
 }
-
-func sortNodeIDs(ids []NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
-func sortEdgeIDs(ids []EdgeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
-func sortStrings(ss []string) { sort.Strings(ss) }

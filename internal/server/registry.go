@@ -130,12 +130,19 @@ func (t *tenant) setSchema(s *schema.Schema, sdl string, prog *validate.Program)
 // either a parsed Schema or SDL source (parsed when Schema is nil), an
 // optional pre-built graph (nil hosts an empty graph), and an optional
 // complete full-strong validation result to seed /revalidate from.
+//
+// Replay, when set, says Graph was loaded by LoadTenantGraph from this
+// tenant's own snapshot and log in the snapshot directory, and is that
+// load's ReplayInfo: the tenant reopens the log and appends to it, as a
+// restored tenant does. Without it a seeded graph has no log until its
+// first apply, which writes a fresh snapshot and log.
 type TenantSeed struct {
 	Name   string
 	Schema *schema.Schema
 	SDL    string
 	Graph  *pg.Graph
 	Result *validate.Result
+	Replay *pg.ReplayInfo
 }
 
 // RegistryConfig configures a multi-tenant handler: the per-request
@@ -250,6 +257,8 @@ func (r *Registry) create(seed TenantSeed, persist bool) (*tenant, error) {
 			t.forgetLog()
 			return nil, err
 		}
+	} else if seed.Replay != nil && seed.Graph != nil && r.cfg.SnapshotDir != "" {
+		r.adoptLog(t, *seed.Replay)
 	}
 	r.mu.Lock()
 	r.tenants[t.name] = t
@@ -527,24 +536,21 @@ func (r *Registry) restore() error {
 		}
 		seed := TenantSeed{Name: name, SDL: string(sdl)}
 		snapPath := filepath.Join(dir, TenantSnapshotFile(name))
-		var info pg.ReplayInfo
 		if st, err := os.Stat(snapPath); err == nil && st.Mode().IsRegular() {
+			var info pg.ReplayInfo
 			if seed.Graph, info, err = LoadTenantGraph(snapPath); err != nil {
 				return fmt.Errorf("restoring tenant %q: %w", name, err)
 			}
+			seed.Replay = &info
 		}
-		t, err := r.create(seed, false)
-		if err != nil {
+		if _, err := r.create(seed, false); err != nil {
 			return fmt.Errorf("restoring tenant %q: %w", name, err)
-		}
-		if seed.Graph != nil {
-			r.adoptLog(t, info)
 		}
 	}
 	return nil
 }
 
-// adoptLog reopens a restored tenant's log for appending after its
+// adoptLog reopens a restored or resumed tenant's log for appending after its
 // valid prefix, or — when there was none, or it was stale — starts a
 // fresh log bound to the snapshot. If neither works the tenant keeps no
 // log and its first apply rebases.

@@ -240,6 +240,49 @@ func TestWALRebaseWithoutLog(t *testing.T) {
 	restartMatches(t, h, dir, "alpha")
 }
 
+// TestWALSeededTenantAppends: a tenant seeded from its own snapshot and
+// log — the CLI's serve resume, which loads through LoadTenantGraph and
+// passes the ReplayInfo on — keeps appending to that log after the
+// restart instead of rewriting the snapshot on its first apply.
+func TestWALSeededTenantAppends(t *testing.T) {
+	dir := t.TempDir()
+	h := newPersistentRegistry(t, dir, 0)
+	putTenant(t, h, "alpha")
+	applyStatus(t, h, "alpha", addCity("Gent"), http.StatusOK)
+	snapPath := filepath.Join(dir, TenantSnapshotFile("alpha"))
+	logPath := filepath.Join(dir, tenantLogFile("alpha"))
+	snap0, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log0, err := os.Stat(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	g, info, err := LoadTenantGraph(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h2, err := NewRegistry(RegistryConfig{Config: Config{SnapshotDir: dir}, Seeds: []TenantSeed{
+		{Name: "alpha", SDL: tenantCitySDL, Graph: g, Replay: &info},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h2.reg.get("alpha").persisted.Load() {
+		t.Fatal("the resumed seed does not count as persisted")
+	}
+	applyStatus(t, h2, "alpha", addCity("Lyon"), http.StatusOK)
+	if snap, _ := os.ReadFile(snapPath); !bytes.Equal(snap, snap0) {
+		t.Fatal("the first apply after the restart rewrote the snapshot file")
+	}
+	if st, err := os.Stat(logPath); err != nil || st.Size() <= log0.Size() {
+		t.Fatalf("log did not grow past %d bytes after the apply: %v", log0.Size(), err)
+	}
+	restartMatches(t, h2, dir, "alpha")
+}
+
 // TestWALCompaction: once the log reaches the snapshot's size, the apply
 // that crossed the line writes a new snapshot and starts a fresh log.
 func TestWALCompaction(t *testing.T) {
