@@ -2,9 +2,9 @@
 # under the race detector, and keep the fused engine in agreement with
 # its test oracles (the differential harness runs under -race as part of
 # `race`; the dedicated `differential` target re-runs just it, shuffled).
-.PHONY: check build vet test race api-golden differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke fuzz-apply-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke bench-serve scale-smoke scale-differential stream-smoke snapshot-differential clean
+.PHONY: check build vet test race api-golden differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke fuzz-apply-smoke fuzz-revalidate-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke bench-serve scale-smoke scale-differential stream-smoke snapshot-differential clean
 
-check: build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke fuzz-apply-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
+check: build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke fuzz-apply-smoke fuzz-revalidate-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
 
 build:
 	go build ./...
@@ -130,10 +130,11 @@ stream-smoke:
 # graph across every engine configuration and mode, the file round trip
 # must reproduce the snapshot exactly (including the copy-on-write
 # Apply path and the corruption table), and the cold→inflated handoff
-# must be race-free under concurrent readers.
+# must be race-free under concurrent readers, and a loaded graph (mapped
+# or streamed) must stay its snapshot — no row store — until a write.
 snapshot-differential:
 	go test -race -shuffle=on -count=1 \
-		-run 'TestMappedSnapshot|TestSnapshotFile|TestMappedApply|TestColdReaders|TestColdConcurrent|TestOpenSnapshot' \
+		-run 'TestMappedSnapshot|TestSnapshotFile|TestMappedApply|TestColdReaders|TestColdConcurrent|TestColdResidency|TestOpenSnapshot' \
 		./internal/validate/ ./internal/pg/
 
 # A short coverage-guided run of the .pgsnap opener fuzz target: any
@@ -156,6 +157,13 @@ fuzz-wal-smoke:
 # its conflicts and the label lists must equal a fresh build's.
 fuzz-apply-smoke:
 	go test -run '^$$' -fuzz FuzzApplyBody -fuzztime 10s ./internal/server/
+
+# A short coverage-guided run of the incremental-validation fuzz
+# target: any body posted to /revalidate on a small CSV-loaded keyed
+# tenant must answer without a panic or a 5xx, and must leave the
+# tenant's graph without a row store (revalidation only reads).
+fuzz-revalidate-smoke:
+	go test -run '^$$' -fuzz FuzzRevalidateBody -fuzztime 10s ./internal/server/
 
 # E14 — durable snapshots: WriteGraphSnapshot/OpenGraphSnapshot against
 # the streaming CSV loader (cold-start latency) and mapped vs heap

@@ -199,7 +199,7 @@ func (u *Undo) Undo() error {
 // graph structures directly without epoch bumps (callers account for
 // the epoch once).
 func (g *Graph) replayUndo(steps []undoStep) {
-	g.privatize()
+	g.ensureStore()
 	for i := len(steps) - 1; i >= 0; i-- {
 		st := &steps[i]
 		switch st.kind {
@@ -345,7 +345,7 @@ func (g *Graph) Apply(d Delta) (*Undo, error) {
 // also forgets the symbols it interned, so the graph is left exactly
 // as it was.
 func (g *Graph) apply(d Delta) (*Undo, *applyState, error) {
-	g.privatize()
+	g.ensureStore()
 	st := &applyState{u: &Undo{g: g, before: g.epoch}, changeSet: newChangeSet()}
 	syms, buckets := len(g.syms.names), len(g.byLabel)
 	if err := g.applyAll(d, st); err != nil {

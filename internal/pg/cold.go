@@ -2,20 +2,38 @@ package pg
 
 import "sort"
 
-// Cold graph backing: a Graph returned by OpenSnapshot starts with no
-// materialized node/edge store — just the mapped snapshot, the symbol
-// table, and the epoch. Every reader a compiled validation program or
-// query plan binds through (labels, sym lookups, per-label node lists,
-// property-by-sym, the snapshot itself) answers straight from the
-// mapped columns, so the load stays O(header). Store-shaped access —
-// any mutation, or readers that expose the mutable store's shape
-// (NodeProps, OutEdges, Clone, stats, serializers) — first inflates a
-// private store from the snapshot, exactly once, copy-on-write: the
-// mapping is never written through.
+// A loaded graph is its snapshot until a write. Both loaders — the
+// streaming CSV loader (ReadCSVStream) and the .pgsnap opener
+// (OpenSnapshot) — return a graph built by newLoadedGraph: the sealed
+// snapshot, the symbol table and the epoch, and no row store. Every
+// reader a compiled validation program or query plan binds through
+// (labels, sym lookups, per-label node lists, property-by-sym, raw
+// adjacency, the snapshot itself) answers straight from the snapshot's
+// columns, so a graph that is only validated and queried never holds a
+// second copy of itself. A write — or a store-shaped reader (NodeProps,
+// OutEdges, Clone, stats, serializers, the rule-by-rule test oracle) —
+// first inflates a private row store from the snapshot, exactly once.
+// The snapshot is never written through: it may be retained by Undo or
+// a concurrent reader, and a mapped one aliases a read-only file.
 
-// ensureStore materializes the mutable store of a cold graph. It is a
-// no-op for ordinary graphs. Safe under concurrent readers: the first
-// caller inflates under the sync.Once, the rest wait.
+// newLoadedGraph returns a graph that is the sealed snapshot s, with
+// the given symbol table and file mapping (nil for heap snapshots).
+func newLoadedGraph(s *Snapshot, syms symbols, m *snapMapping) *Graph {
+	g := &Graph{syms: syms, epoch: s.epoch, mapping: m}
+	g.snap.Store(s)
+	g.cold.Store(s)
+	return g
+}
+
+// HasRowStore reports whether the graph holds a row store: always for
+// a graph built through the mutation API, and for a loaded graph only
+// once a write (or a store-shaped reader) has inflated one.
+func (g *Graph) HasRowStore() bool { return g.cold.Load() == nil }
+
+// ensureStore materializes the row store of a loaded graph. It is a
+// no-op once the store exists (and for graphs built through the
+// mutation API, which never lack one). Safe under concurrent readers:
+// the first caller inflates under the sync.Once, the rest wait.
 func (g *Graph) ensureStore() {
 	if g.cold.Load() == nil {
 		return
@@ -23,29 +41,40 @@ func (g *Graph) ensureStore() {
 	g.storeOnce.Do(g.inflateStore)
 }
 
+// inflateStore builds the row store from the cold snapshot. Property
+// rows are read through the snapshot accessors (a copy for a heap
+// snapshot, a decode for a record-backed one) into one private flat
+// array per element kind, sub-sliced per element with capped capacity,
+// so in-place property writes never reach the snapshot. Adjacency rows
+// alias the snapshot's CSR columns, capacity-capped: the row store only
+// appends to an adjacency row (which then reallocates) or truncates
+// what it appended, so it never writes through.
 func (g *Graph) inflateStore() {
 	s := g.cold.Load()
 	nn, ne := s.NodeBound(), s.EdgeBound()
 
-	// Decode the flattened property rows once into private flat
-	// columns, sub-sliced per element with capped capacity — the same
-	// layout (and the same sharedCols contract) a sealed streamed
-	// graph uses. Adjacency rows alias the snapshot's CSR columns,
-	// capacity-capped: appends reallocate, and the first in-place
-	// write goes through privatize.
 	nProps := make([]Prop, int(s.nodePropOff[nn]))
 	for i := range nProps {
-		nProps[i] = s.recProp(s.nodePropRecs, i)
+		nProps[i] = s.NodePropAt(i)
 	}
 	eProps := make([]Prop, int(s.edgePropOff[ne]))
 	for i := range eProps {
-		eProps[i] = s.recProp(s.edgePropRecs, i)
+		eProps[i] = s.EdgePropAt(i)
 	}
 
 	nodes := make([]node, nn)
+	byLabel := make([][]NodeID, len(g.syms.names))
 	removedN := 0
 	for v := 0; v < nn; v++ {
 		ls := s.nodeLabels[v]
+		if ls == NoSym {
+			// Tombstone. The snapshot does not retain a removed node's
+			// label or adjacency, so the inflated tombstone is bare —
+			// equivalent for every live-element operation.
+			nodes[v].removed = true
+			removedN++
+			continue
+		}
 		pa, pb := s.nodePropOff[v], s.nodePropOff[v+1]
 		oa, ob := s.outOff[v], s.outOff[v+1]
 		ia, ib := s.inOff[v], s.inOff[v+1]
@@ -55,37 +84,19 @@ func (g *Graph) inflateStore() {
 			out:   s.outEdges[oa:ob:ob],
 			in:    s.inEdges[ia:ib:ib],
 		}
-		if ls == NoSym {
-			// Tombstone. The snapshot does not retain a removed node's
-			// label or adjacency, so the inflated tombstone is bare —
-			// equivalent for every live-element operation.
-			nodes[v].removed = true
-			nodes[v].label = 0
-			removedN++
-		}
+		byLabel[ls] = append(byLabel[ls], NodeID(v))
 	}
 	edges := make([]edge, ne)
 	removedE := 0
 	for e := 0; e < ne; e++ {
-		ls := s.edgeLabels[e]
-		pa, pb := s.edgePropOff[e], s.edgePropOff[e+1]
-		edges[e] = edge{
-			src:   s.edgeSrc[e],
-			dst:   s.edgeDst[e],
-			label: ls,
-			props: eProps[pa:pb:pb],
-		}
-		if ls == NoSym {
+		edges[e] = edge{src: s.edgeSrc[e], dst: s.edgeDst[e]}
+		if ls := s.edgeLabels[e]; ls != NoSym {
+			pa, pb := s.edgePropOff[e], s.edgePropOff[e+1]
+			edges[e].label = ls
+			edges[e].props = eProps[pa:pb:pb]
+		} else {
 			edges[e].removed = true
-			edges[e].label = 0
 			removedE++
-		}
-	}
-
-	byLabel := make([][]NodeID, len(g.syms.names))
-	for v := 0; v < nn; v++ {
-		if ls := s.nodeLabels[v]; ls != NoSym {
-			byLabel[ls] = append(byLabel[ls], NodeID(v))
 		}
 	}
 
@@ -94,7 +105,6 @@ func (g *Graph) inflateStore() {
 	g.byLabel = byLabel
 	g.removedNodes = removedN
 	g.removedEdges = removedE
-	g.sharedCols = true
 	g.cold.Store(nil)
 }
 

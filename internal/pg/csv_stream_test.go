@@ -162,11 +162,12 @@ func assertSnapshotsEqual(t *testing.T, got, want *Snapshot) {
 	}
 }
 
-// TestReadCSVStreamSnapshotImmutable pins the copy-on-first-mutation
-// contract: a sealed graph aliases its snapshot's columns until the
-// first in-place write privatizes them, so mutating the graph must
-// never change a snapshot taken before the mutation (incremental
-// revalidation and undo retain old snapshots).
+// TestReadCSVStreamSnapshotImmutable pins the inflate-on-first-write
+// contract: a sealed graph is its snapshot until the first write
+// inflates a row store, whose adjacency rows alias the snapshot's CSR
+// columns capacity-capped, so mutating the graph must never change a
+// snapshot taken before the mutation (incremental revalidation and
+// undo retain old snapshots).
 func TestReadCSVStreamSnapshotImmutable(t *testing.T) {
 	nodes := "id,label,name,rank\nu0,User,\"zero\",0\nu1,User,\"one\",1\n"
 	edges := "source,target,label,weight\nu0,u1,knows,0.5\n"
@@ -207,8 +208,8 @@ func TestReadCSVStreamSnapshotImmutable(t *testing.T) {
 
 // TestReadCSVStreamApplyUndo drives the transactional mutation path
 // over a freshly streamed graph: Apply's in-place property writes and
-// Undo's replay both land after seal, so they exercise privatization
-// against the retained snapshot.
+// Undo's replay both land on the inflated row store, never on the
+// retained snapshot.
 func TestReadCSVStreamApplyUndo(t *testing.T) {
 	nodes := "id,label,name\nu0,User,\"zero\"\nu1,User,\"one\"\n"
 	edges := "source,target,label\nu0,u1,knows\n"

@@ -74,68 +74,18 @@ type Graph struct {
 	// rebuilds) without mutators having to clear it.
 	snap atomic.Pointer[Snapshot]
 
-	// sharedCols marks a sealed streamed graph whose node and edge
-	// slices still alias the flat columns its pre-built snapshot owns.
-	// Writes through those slices (property overwrite or delete-shift)
-	// must call privatize first; appends are safe regardless, because
-	// every aliased slice is capacity-capped at its bound.
-	sharedCols bool
-
-	// cold is non-nil while a graph opened from a mapped snapshot has
-	// not materialized its mutable store: readers on the compiled
-	// validation/query path answer from this snapshot, and store-shaped
-	// access goes through ensureStore (see cold.go). Atomic because
-	// concurrent readers may race one of them inflating the store.
+	// cold is non-nil while a loaded graph (streamed from CSV or opened
+	// from a .pgsnap file) has not materialized its row store: readers
+	// on the compiled validation/query path answer from this snapshot,
+	// and writes and store-shaped reads go through ensureStore (see
+	// cold.go). Atomic because concurrent readers may race one of them
+	// inflating the store.
 	cold      atomic.Pointer[Snapshot]
 	storeOnce sync.Once
 
 	// mapping is the file mapping a graph opened with OpenSnapshot
 	// reads through; Close releases it.
 	mapping *snapMapping
-}
-
-// privatize unshares the flat property and adjacency storage a sealed
-// streamed graph initially aliases with its snapshot. Deferring the
-// bulk copies to the first in-place mutation means loads that are never
-// mutated — the CLI validate and server ingest paths — skip them
-// entirely.
-func (g *Graph) privatize() {
-	g.ensureStore()
-	if !g.sharedCols {
-		return
-	}
-	g.sharedCols = false
-	var nProps, nOut, nIn, eProps int
-	for i := range g.nodes {
-		nProps += len(g.nodes[i].props)
-		nOut += len(g.nodes[i].out)
-		nIn += len(g.nodes[i].in)
-	}
-	for i := range g.edges {
-		eProps += len(g.edges[i].props)
-	}
-	props := make([]Prop, 0, nProps)
-	out := make([]EdgeID, 0, nOut)
-	in := make([]EdgeID, 0, nIn)
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		a := len(props)
-		props = append(props, n.props...)
-		n.props = props[a:len(props):len(props)]
-		a = len(out)
-		out = append(out, n.out...)
-		n.out = out[a:len(out):len(out)]
-		a = len(in)
-		in = append(in, n.in...)
-		n.in = in[a:len(in):len(in)]
-	}
-	eps := make([]Prop, 0, eProps)
-	for i := range g.edges {
-		e := &g.edges[i]
-		a := len(eps)
-		eps = append(eps, e.props...)
-		e.props = eps[a:len(eps):len(eps)]
-	}
 }
 
 // New returns an empty Property Graph.
@@ -376,7 +326,7 @@ func (g *Graph) SetEdgeLabel(id EdgeID, label string) {
 
 // SetNodeProp sets σ(v, name) = v.
 func (g *Graph) SetNodeProp(id NodeID, name string, v values.Value) {
-	g.privatize()
+	g.ensureStore()
 	n := &g.nodes[id]
 	n.props = setProp(n.props, Prop{Sym: g.syms.intern(name), Name: name, Value: v})
 	g.epoch++
@@ -384,7 +334,7 @@ func (g *Graph) SetNodeProp(id NodeID, name string, v values.Value) {
 
 // SetEdgeProp sets σ(e, name) = v.
 func (g *Graph) SetEdgeProp(id EdgeID, name string, v values.Value) {
-	g.privatize()
+	g.ensureStore()
 	e := &g.edges[id]
 	e.props = setProp(e.props, Prop{Sym: g.syms.intern(name), Name: name, Value: v})
 	g.epoch++
@@ -407,14 +357,14 @@ func (g *Graph) setEdgePropsSorted(id EdgeID, props []Prop) {
 
 // DeleteNodeProp removes (v, name) from dom(σ).
 func (g *Graph) DeleteNodeProp(id NodeID, name string) {
-	g.privatize()
+	g.ensureStore()
 	g.nodes[id].props = delProp(g.nodes[id].props, name)
 	g.epoch++
 }
 
 // DeleteEdgeProp removes (e, name) from dom(σ).
 func (g *Graph) DeleteEdgeProp(id EdgeID, name string) {
-	g.privatize()
+	g.ensureStore()
 	g.edges[id].props = delProp(g.edges[id].props, name)
 	g.epoch++
 }
@@ -751,18 +701,4 @@ func (g *Graph) Clone() *Graph {
 		}
 	}
 	return c
-}
-
-// AllOutEdges returns the node's outgoing edges including removed ones
-// (tombstones keep their endpoints). Incremental validation uses this to
-// find the region a node mutation influences.
-func (g *Graph) AllOutEdges(id NodeID) []EdgeID {
-	g.ensureStore()
-	return append([]EdgeID(nil), g.nodes[id].out...)
-}
-
-// AllInEdges returns the node's incoming edges including removed ones.
-func (g *Graph) AllInEdges(id NodeID) []EdgeID {
-	g.ensureStore()
-	return append([]EdgeID(nil), g.nodes[id].in...)
 }

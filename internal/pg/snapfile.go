@@ -432,11 +432,12 @@ func Verify() OpenOption { return func(o *openOpts) { o.verify = true } }
 // OpenSnapshot maps a .pgsnap file read-only and returns a Graph whose
 // snapshot columns alias the mapping: no allocations proportional to
 // graph size, open cost O(header + symbol table), pages faulted in
-// lazily on first access. The graph serves compiled validation and
-// query workloads directly from the mapped snapshot; the first
-// mutation (or store-shaped read, e.g. the rule-by-rule test oracle)
-// materializes a private mutable store copy-on-write — the file is
-// never written through.
+// lazily on first access. Like a streamed CSV graph, the result is its
+// snapshot until the first write (see cold.go): compiled validation,
+// revalidation and queries read the mapped columns directly, and the
+// first mutation (or store-shaped read, e.g. the rule-by-rule test
+// oracle) inflates a private row store — the file is never written
+// through.
 //
 // Close releases the mapping; see Graph.Close for the lifetime rules.
 func OpenSnapshot(path string, opts ...OpenOption) (*Graph, error) {
@@ -454,10 +455,7 @@ func OpenSnapshot(path string, opts ...OpenOption) (*Graph, error) {
 		return nil, err
 	}
 	s.mapping = m
-	g := &Graph{syms: syms, epoch: s.epoch, mapping: m}
-	g.snap.Store(s)
-	g.cold.Store(s)
-	return g, nil
+	return newLoadedGraph(s, syms, m), nil
 }
 
 // loadSnapshot reconstructs a record-backed Snapshot over a .pgsnap

@@ -397,42 +397,62 @@ func FuzzOpenSnapshot(f *testing.F) {
 }
 
 // TestColdConcurrentInflation races cold-path readers against the
-// store inflation a concurrent store-shaped reader triggers; under
-// -race this pins the atomic cold-pointer handoff.
+// store inflation a concurrent store-shaped reader triggers, on a
+// mapped graph and on a streamed one; under -race this pins the atomic
+// cold-pointer handoff.
 func TestColdConcurrentInflation(t *testing.T) {
 	g := richGraph(t)
 	path := writeSnapFile(t, g)
-	for round := 0; round < 8; round++ {
-		mg, err := OpenSnapshot(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan struct{})
-		for w := 0; w < 4; w++ {
-			go func() {
-				defer func() { done <- struct{}{} }()
-				for i := 0; i < 50; i++ {
-					for v := 0; v < mg.NodeBound(); v++ {
-						id := NodeID(v)
-						_ = mg.NodeLabelSym(id)
-						_, _ = mg.NodeProp(id, "name")
-						_ = mg.OutEdgesRaw(id)
-					}
-					_ = mg.NumNodes()
+	var nodes, edges bytes.Buffer
+	if err := g.WriteCSV(&nodes, &edges); err != nil {
+		t.Fatal(err)
+	}
+	for _, load := range []struct {
+		name string
+		open func() (*Graph, error)
+	}{
+		{"mapped", func() (*Graph, error) { return OpenSnapshot(path) }},
+		{"stream", func() (*Graph, error) {
+			return ReadCSVStream(bytes.NewReader(nodes.Bytes()), bytes.NewReader(edges.Bytes()))
+		}},
+	} {
+		t.Run(load.name, func(t *testing.T) {
+			for round := 0; round < 8; round++ {
+				mg, err := load.open()
+				if err != nil {
+					t.Fatal(err)
 				}
-			}()
-		}
-		go func() {
-			defer func() { done <- struct{}{} }()
-			mg.Nodes() // forces inflation mid-flight
-		}()
-		for w := 0; w < 5; w++ {
-			<-done
-		}
-		if mg.NumNodes() != g.NumNodes() {
-			t.Fatalf("post-inflation count %d, want %d", mg.NumNodes(), g.NumNodes())
-		}
-		mg.Close()
+				if mg.HasRowStore() {
+					t.Fatal("a loaded graph starts with a row store")
+				}
+				done := make(chan struct{})
+				for w := 0; w < 4; w++ {
+					go func() {
+						defer func() { done <- struct{}{} }()
+						for i := 0; i < 50; i++ {
+							for v := 0; v < mg.NodeBound(); v++ {
+								id := NodeID(v)
+								_ = mg.NodeLabelSym(id)
+								_, _ = mg.NodeProp(id, "name")
+								_ = mg.OutEdgesRaw(id)
+							}
+							_ = mg.NumNodes()
+						}
+					}()
+				}
+				go func() {
+					defer func() { done <- struct{}{} }()
+					mg.Nodes() // forces inflation mid-flight
+				}()
+				for w := 0; w < 5; w++ {
+					<-done
+				}
+				if mg.NumNodes() != g.NumNodes() {
+					t.Fatalf("post-inflation count %d, want %d", mg.NumNodes(), g.NumNodes())
+				}
+				mg.Close()
+			}
+		})
 	}
 }
 

@@ -120,22 +120,51 @@ func (g *Graph) patchSnapshot(old *Snapshot, p patchPlan) *Snapshot {
 	}
 
 	if p.nodeAdjChanged {
-		s.outOff, s.outEdges = g.patchAdj(old.outOff, old.outEdges, p.nodeDirty, true)
-		s.inOff, s.inEdges = g.patchAdj(old.inOff, old.inEdges, p.nodeDirty, false)
+		liveAdj := func(raw func(*node) []EdgeID) func(int, []EdgeID) []EdgeID {
+			return func(v int, list []EdgeID) []EdgeID {
+				if n := &g.nodes[v]; !n.removed {
+					for _, e := range raw(n) {
+						if !g.edges[e].removed {
+							list = append(list, e)
+						}
+					}
+				}
+				return list
+			}
+		}
+		s.outOff, s.outEdges = patchRows(old.outOff, old.outEdges, p.nodeDirty, nn, 4,
+			liveAdj(func(n *node) []EdgeID { return n.out }))
+		s.inOff, s.inEdges = patchRows(old.inOff, old.inEdges, p.nodeDirty, nn, 4,
+			liveAdj(func(n *node) []EdgeID { return n.in }))
 	} else {
 		s.outOff, s.outEdges = old.outOff, old.outEdges
 		s.inOff, s.inEdges = old.inOff, old.inEdges
 	}
 
+	// A dirty element's property row is its store row, or empty once
+	// it is removed.
+	nodeRow := func(v int) []Prop {
+		if n := &g.nodes[v]; !n.removed {
+			return n.props
+		}
+		return nil
+	}
+	edgeRow := func(e int) []Prop {
+		if ed := &g.edges[e]; !ed.removed {
+			return ed.props
+		}
+		return nil
+	}
+
 	if p.nodePropsChanged {
 		if old.recBacked {
 			var ok bool
-			s.nodePropOff, s.nodePropRecs, ok = g.patchNodeRecs(s, old.nodePropOff, old.nodePropRecs, p.nodeDirty)
+			s.nodePropOff, s.nodePropRecs, ok = patchRecs(s, old.nodePropOff, old.nodePropRecs, p.nodeDirty, nn, nodeRow)
 			if !ok {
 				return nil
 			}
 		} else {
-			s.nodePropOff, s.nodeProps = g.patchNodeProps(old.nodePropOff, old.nodeProps, p.nodeDirty)
+			s.nodePropOff, s.nodeProps = patchRows(old.nodePropOff, old.nodeProps, p.nodeDirty, nn, 2, appendRow(nodeRow))
 		}
 		s.nodePropSet = g.patchPropSets(old.nodePropSet, p.nodeDirty, oldNN)
 	} else {
@@ -147,12 +176,12 @@ func (g *Graph) patchSnapshot(old *Snapshot, p patchPlan) *Snapshot {
 	if p.edgePropsChanged {
 		if old.recBacked {
 			var ok bool
-			s.edgePropOff, s.edgePropRecs, ok = g.patchEdgeRecs(s, old.edgePropOff, old.edgePropRecs, p.edgeDirty)
+			s.edgePropOff, s.edgePropRecs, ok = patchRecs(s, old.edgePropOff, old.edgePropRecs, p.edgeDirty, ne, edgeRow)
 			if !ok {
 				return nil
 			}
 		} else {
-			s.edgePropOff, s.edgeProps = g.patchEdgeProps(old.edgePropOff, old.edgeProps, p.edgeDirty)
+			s.edgePropOff, s.edgeProps = patchRows(old.edgePropOff, old.edgeProps, p.edgeDirty, ne, 2, appendRow(edgeRow))
 		}
 	} else {
 		s.edgePropOff, s.edgeProps = old.edgePropOff, old.edgeProps
@@ -163,264 +192,78 @@ func (g *Graph) patchSnapshot(old *Snapshot, p patchPlan) *Snapshot {
 	return s
 }
 
-// patchNodeRecs is patchNodeProps for a record-backed column: clean
+// patchRows rebuilds one flattened column — per-element offsets over a
+// flat row array — for a new bound of n elements. Rows of clean
+// pre-existing elements are copied in bulk segments between dirty ones
+// (their contents are unchanged); rebuild appends the current row of a
+// dirty element, or of one past the old bound, and returns the grown
+// array. extra reserves room for that many rows per dirty element.
+func patchRows[T any, ID ~int](oldOff []uint32, oldRows []T, dirty []ID, n, extra int, rebuild func(i int, rows []T) []T) ([]uint32, []T) {
+	oldN := len(oldOff) - 1
+	off := make([]uint32, n+1)
+	rows := make([]T, 0, len(oldRows)+extra*len(dirty))
+
+	put := func(i int) {
+		rows = rebuild(i, rows)
+		off[i+1] = uint32(len(rows))
+	}
+	copySeg := func(from, to int) {
+		if from >= to {
+			return
+		}
+		shift := off[from] - oldOff[from]
+		rows = append(rows, oldRows[oldOff[from]:oldOff[to]]...)
+		if shift == 0 {
+			copy(off[from+1:to+1], oldOff[from+1:to+1])
+		} else {
+			for k := from; k < to; k++ {
+				off[k+1] = oldOff[k+1] + shift
+			}
+		}
+	}
+
+	prev := 0
+	for _, d := range dirty {
+		i := int(d)
+		if i >= oldN {
+			break
+		}
+		copySeg(prev, i)
+		put(i)
+		prev = i + 1
+	}
+	copySeg(prev, oldN)
+	for i := oldN; i < n; i++ {
+		put(i)
+	}
+	return off, rows
+}
+
+// appendRow adapts a row getter to patchRows' rebuild callback for
+// heap property rows.
+func appendRow(row func(int) []Prop) func(int, []Prop) []Prop {
+	return func(i int, rows []Prop) []Prop { return append(rows, row(i)...) }
+}
+
+// patchRecs is patchRows over a record-backed property column: clean
 // record rows are bulk-copied (their arena-0 payloads stay valid —
 // they point into the shared mapped arena), dirty rows re-encode from
-// the store into the patched snapshot's private overflow arena and
-// list table. Returns ok=false when a value cannot be encoded; the
-// caller then falls back to a full rebuild.
-func (g *Graph) patchNodeRecs(s *Snapshot, oldOff []uint32, oldRecs []propRec, dirty []NodeID) ([]uint32, []propRec, bool) {
-	nn := len(g.nodes)
-	oldNN := len(oldOff) - 1
-	off := make([]uint32, nn+1)
+// the store into the patched snapshot's private overflow arena and list
+// table. Returns ok=false when a value cannot be encoded; the caller
+// then falls back to a full rebuild.
+func patchRecs[ID ~int](s *Snapshot, oldOff []uint32, oldRecs []propRec, dirty []ID, n int, row func(int) []Prop) ([]uint32, []propRec, bool) {
 	enc := recEncoder{arenaID: 1, arena: s.propOver, lists: s.propLists}
-	enc.recs = make([]propRec, 0, len(oldRecs)+2*len(dirty))
 	encOK := true
-
-	rebuild := func(v int) {
-		n := &g.nodes[v]
-		if !n.removed {
-			if err := enc.addAll(n.props); err != nil {
-				encOK = false
-			}
+	off, recs := patchRows(oldOff, oldRecs, dirty, n, 2, func(i int, recs []propRec) []propRec {
+		enc.recs = recs
+		if err := enc.addAll(row(i)); err != nil {
+			encOK = false
 		}
-		off[v+1] = uint32(len(enc.recs))
-	}
-	copySeg := func(from, to int) {
-		if from >= to {
-			return
-		}
-		shift := off[from] - oldOff[from]
-		enc.recs = append(enc.recs, oldRecs[oldOff[from]:oldOff[to]]...)
-		if shift == 0 {
-			copy(off[from+1:to+1], oldOff[from+1:to+1])
-		} else {
-			for k := from; k < to; k++ {
-				off[k+1] = oldOff[k+1] + shift
-			}
-		}
-	}
-
-	prev := 0
-	for _, d := range dirty {
-		v := int(d)
-		if v >= oldNN {
-			break
-		}
-		copySeg(prev, v)
-		rebuild(v)
-		prev = v + 1
-	}
-	copySeg(prev, oldNN)
-	for v := oldNN; v < nn; v++ {
-		rebuild(v)
-	}
+		return enc.recs
+	})
 	s.propOver = enc.arena
 	s.propLists = enc.lists
-	return off, enc.recs, encOK
-}
-
-// patchEdgeRecs is patchNodeRecs over the edge property rows.
-func (g *Graph) patchEdgeRecs(s *Snapshot, oldOff []uint32, oldRecs []propRec, dirty []EdgeID) ([]uint32, []propRec, bool) {
-	ne := len(g.edges)
-	oldNE := len(oldOff) - 1
-	off := make([]uint32, ne+1)
-	enc := recEncoder{arenaID: 1, arena: s.propOver, lists: s.propLists}
-	enc.recs = make([]propRec, 0, len(oldRecs)+2*len(dirty))
-	encOK := true
-
-	rebuild := func(e int) {
-		ed := &g.edges[e]
-		if !ed.removed {
-			if err := enc.addAll(ed.props); err != nil {
-				encOK = false
-			}
-		}
-		off[e+1] = uint32(len(enc.recs))
-	}
-	copySeg := func(from, to int) {
-		if from >= to {
-			return
-		}
-		shift := off[from] - oldOff[from]
-		enc.recs = append(enc.recs, oldRecs[oldOff[from]:oldOff[to]]...)
-		if shift == 0 {
-			copy(off[from+1:to+1], oldOff[from+1:to+1])
-		} else {
-			for k := from; k < to; k++ {
-				off[k+1] = oldOff[k+1] + shift
-			}
-		}
-	}
-
-	prev := 0
-	for _, d := range dirty {
-		e := int(d)
-		if e >= oldNE {
-			break
-		}
-		copySeg(prev, e)
-		rebuild(e)
-		prev = e + 1
-	}
-	copySeg(prev, oldNE)
-	for e := oldNE; e < ne; e++ {
-		rebuild(e)
-	}
-	s.propOver = enc.arena
-	s.propLists = enc.lists
-	return off, enc.recs, encOK
-}
-
-// patchAdj rebuilds one CSR direction. Rows of clean pre-existing
-// nodes are copied in bulk segments (their contents are unchanged:
-// every added or removed edge put both endpoints in dirty); rows of
-// dirty nodes are re-derived from the mutable store; nodes past the
-// old bound get fresh rows.
-func (g *Graph) patchAdj(oldOff []uint32, oldList []EdgeID, dirty []NodeID, out bool) ([]uint32, []EdgeID) {
-	nn := len(g.nodes)
-	oldNN := len(oldOff) - 1
-	off := make([]uint32, nn+1)
-	list := make([]EdgeID, 0, len(oldList)+4*len(dirty))
-
-	rebuild := func(v int) {
-		n := &g.nodes[v]
-		if !n.removed {
-			raw := n.out
-			if !out {
-				raw = n.in
-			}
-			for _, e := range raw {
-				if !g.edges[e].removed {
-					list = append(list, e)
-				}
-			}
-		}
-		off[v+1] = uint32(len(list))
-	}
-	copySeg := func(from, to int) {
-		if from >= to {
-			return
-		}
-		shift := off[from] - oldOff[from]
-		list = append(list, oldList[oldOff[from]:oldOff[to]]...)
-		if shift == 0 {
-			copy(off[from+1:to+1], oldOff[from+1:to+1])
-		} else {
-			for k := from; k < to; k++ {
-				off[k+1] = oldOff[k+1] + shift
-			}
-		}
-	}
-
-	prev := 0
-	for _, d := range dirty {
-		v := int(d)
-		if v >= oldNN {
-			break
-		}
-		copySeg(prev, v)
-		rebuild(v)
-		prev = v + 1
-	}
-	copySeg(prev, oldNN)
-	for v := oldNN; v < nn; v++ {
-		rebuild(v)
-	}
-	return off, list
-}
-
-// patchNodeProps rebuilds the flattened node property rows with the
-// same segment strategy as patchAdj.
-func (g *Graph) patchNodeProps(oldOff []uint32, oldProps []Prop, dirty []NodeID) ([]uint32, []Prop) {
-	nn := len(g.nodes)
-	oldNN := len(oldOff) - 1
-	off := make([]uint32, nn+1)
-	props := make([]Prop, 0, len(oldProps)+2*len(dirty))
-
-	rebuild := func(v int) {
-		n := &g.nodes[v]
-		if !n.removed {
-			props = append(props, n.props...)
-		}
-		off[v+1] = uint32(len(props))
-	}
-	copySeg := func(from, to int) {
-		if from >= to {
-			return
-		}
-		shift := off[from] - oldOff[from]
-		props = append(props, oldProps[oldOff[from]:oldOff[to]]...)
-		if shift == 0 {
-			copy(off[from+1:to+1], oldOff[from+1:to+1])
-		} else {
-			for k := from; k < to; k++ {
-				off[k+1] = oldOff[k+1] + shift
-			}
-		}
-	}
-
-	prev := 0
-	for _, d := range dirty {
-		v := int(d)
-		if v >= oldNN {
-			break
-		}
-		copySeg(prev, v)
-		rebuild(v)
-		prev = v + 1
-	}
-	copySeg(prev, oldNN)
-	for v := oldNN; v < nn; v++ {
-		rebuild(v)
-	}
-	return off, props
-}
-
-// patchEdgeProps is patchNodeProps over the edge property rows.
-func (g *Graph) patchEdgeProps(oldOff []uint32, oldProps []Prop, dirty []EdgeID) ([]uint32, []Prop) {
-	ne := len(g.edges)
-	oldNE := len(oldOff) - 1
-	off := make([]uint32, ne+1)
-	props := make([]Prop, 0, len(oldProps)+2*len(dirty))
-
-	rebuild := func(e int) {
-		ed := &g.edges[e]
-		if !ed.removed {
-			props = append(props, ed.props...)
-		}
-		off[e+1] = uint32(len(props))
-	}
-	copySeg := func(from, to int) {
-		if from >= to {
-			return
-		}
-		shift := off[from] - oldOff[from]
-		props = append(props, oldProps[oldOff[from]:oldOff[to]]...)
-		if shift == 0 {
-			copy(off[from+1:to+1], oldOff[from+1:to+1])
-		} else {
-			for k := from; k < to; k++ {
-				off[k+1] = oldOff[k+1] + shift
-			}
-		}
-	}
-
-	prev := 0
-	for _, d := range dirty {
-		e := int(d)
-		if e >= oldNE {
-			break
-		}
-		copySeg(prev, e)
-		rebuild(e)
-		prev = e + 1
-	}
-	copySeg(prev, oldNE)
-	for e := oldNE; e < ne; e++ {
-		rebuild(e)
-	}
-	return off, props
+	return off, recs, encOK
 }
 
 // patchPropSets re-derives the per-sym property presence bitsets: copy

@@ -23,12 +23,13 @@ import (
 //
 // The loader builds the columnar form directly: rows append into flat
 // label and property columns, adjacency is finished as CSR by a
-// counting sort over the edge columns, and the sealed graph carries a
-// pre-built Snapshot at its current epoch. Validation right after a
-// streamed load therefore starts on sealed columns instead of paying a
-// second full materialization, and the load itself skips the per-node
-// slice growth of the mutation path. Parsing is pipelined across
-// workers when GOMAXPROCS allows (readCSVRecords).
+// counting sort over the edge columns, and the sealed graph is that
+// snapshot until its first write, exactly like a graph OpenSnapshot
+// returns (see cold.go). Validation and queries after a streamed load
+// therefore read sealed columns and never pay for a row store, and the
+// load itself skips the per-node slice growth of the mutation path.
+// Parsing is pipelined across workers when GOMAXPROCS allows
+// (readCSVRecords).
 //
 // The streamed graph is observably identical to what loading the rows
 // one by one through the mutation API yields: same node and edge IDs,
@@ -706,18 +707,12 @@ func (b *streamEdgeBatch) setErr(i int, err error) {
 	b.errs[i] = err
 }
 
-// seal finishes the columns into a Graph whose Snapshot is already
-// built. The CSR adjacency comes from a counting sort over the edge
-// columns (prefix-summed degrees, then a fill in ascending edge-id
-// order, which is exactly the order buildSnapshot produces).
-//
-// The snapshot keeps the builder's columns, and the graph's node and
-// edge structs sub-slice the same flat storage with capped capacity
-// (sharedCols): appends reallocate and so can never leak into the
-// snapshot, while in-place mutations (SetNodeProp overwrite,
-// DeleteNodeProp shift) go through Graph.privatize, which bulk-copies
-// the columns on the first such write. Loads that are never mutated —
-// the dominant validate and serve paths — skip the copies entirely.
+// seal finishes the columns into a loaded graph (newLoadedGraph): the
+// sealed snapshot and no row store, as OpenSnapshot returns. The CSR
+// adjacency comes from a counting sort over the edge columns
+// (prefix-summed degrees, then a fill in ascending edge-id order, which
+// is exactly the order buildSnapshot produces). The snapshot takes
+// ownership of the builder's columns.
 func (sb *streamBuilder) seal() *Graph {
 	nn, ne := len(sb.nodeLabels), len(sb.edgeLabels)
 	if sb.outDeg == nil {
@@ -757,69 +752,13 @@ func (sb *streamBuilder) seal() *Graph {
 		}
 	}
 
-	g := &Graph{
-		nodes:      make([]node, nn),
-		edges:      make([]edge, ne),
-		syms:       sb.syms,
-		epoch:      uint64(nn + ne),
-		sharedCols: true,
-	}
-	gNodeProps := sb.nodeProps
-	gEdgeProps := sb.edgeProps
-	gOut := outEdges
-	gIn := inEdges
-	for v := 0; v < nn; v++ {
-		pa, pb := sb.nodePropOff[v], sb.nodePropOff[v+1]
-		oa, ob := outOff[v], outOff[v+1]
-		ia, ib := inOff[v], inOff[v+1]
-		g.nodes[v] = node{
-			label: sb.nodeLabels[v],
-			props: gNodeProps[pa:pb:pb],
-			out:   gOut[oa:ob:ob],
-			in:    gIn[ia:ib:ib],
-		}
-	}
-	for e := 0; e < ne; e++ {
-		pa, pb := sb.edgePropOff[e], sb.edgePropOff[e+1]
-		g.edges[e] = edge{
-			src:   sb.edgeSrc[e],
-			dst:   sb.edgeDst[e],
-			label: sb.edgeLabels[e],
-			props: gEdgeProps[pa:pb:pb],
-		}
-	}
-
-	// byLabel via the same counting-sort trick: nodes of one label land
-	// contiguously in insertion order, matching incremental AddNode.
-	counts := make([]uint32, len(sb.syms.names))
-	for _, ls := range sb.nodeLabels {
-		counts[ls]++
-	}
-	lblOff := make([]uint32, len(counts)+1)
-	for s := range counts {
-		lblOff[s+1] = lblOff[s] + counts[s]
-	}
-	flat := make([]NodeID, nn)
-	next := counts // reuse as fill cursors
-	copy(next, lblOff[:len(counts)])
-	for v := 0; v < nn; v++ {
-		s := sb.nodeLabels[v]
-		flat[next[s]] = NodeID(v)
-		next[s]++
-	}
-	g.byLabel = make([][]NodeID, len(sb.syms.names))
-	for s := range g.byLabel {
-		if a, b := lblOff[s], lblOff[s+1]; a < b {
-			g.byLabel[s] = flat[a:b:b]
-		}
-	}
-
-	g.snap.Store(&Snapshot{
+	names := len(sb.syms.names)
+	return newLoadedGraph(&Snapshot{
 		idx:         newSnapIndexes(),
-		epoch:       g.epoch,
+		epoch:       uint64(nn + ne),
 		liveNodes:   nn,
 		liveEdges:   ne,
-		symNames:    g.cappedSymNames(),
+		symNames:    sb.syms.names[:names:names],
 		nodeLabels:  sb.nodeLabels,
 		edgeLabels:  sb.edgeLabels,
 		edgeSrc:     sb.edgeSrc,
@@ -833,6 +772,5 @@ func (sb *streamBuilder) seal() *Graph {
 		edgePropOff: sb.edgePropOff,
 		edgeProps:   sb.edgeProps,
 		nodePropSet: nodePropSet,
-	})
-	return g
+	}, sb.syms, nil)
 }

@@ -114,6 +114,82 @@ func FuzzApplyBody(f *testing.F) {
 	})
 }
 
+// newFuzzRevalidateHandler hosts the keyed schema of FuzzApplyBody over
+// a CSV-loaded default tenant: Cities and Towns with some shared names
+// and a chain of twin edges, one self-loop among them (a planted
+// violation, so revalidation has something to splice).
+func newFuzzRevalidateHandler(t testing.TB) (*Handler, *pg.Graph) {
+	t.Helper()
+	doc, err := parser.Parse(fuzzApplySDL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := schema.Build(doc, schema.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes, edges bytes.Buffer
+	nodes.WriteString("id,label,name,pop\n")
+	edges.WriteString("source,target,label\n")
+	for i := 0; i < 48; i++ {
+		fmt.Fprintf(&nodes, "c%d,City,c%d,%d\n", i, i%40, i)
+		if i > 0 {
+			fmt.Fprintf(&edges, "c%d,c%d,twin\n", i, i-1)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		fmt.Fprintf(&nodes, "t%d,Town,c%d,\n", i, 30+i)
+	}
+	edges.WriteString("c5,c5,twin\n")
+	g, err := pg.ReadCSVStream(&nodes, &edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := NewRegistry(RegistryConfig{Seeds: []TenantSeed{{Name: DefaultTenant, Schema: s, Graph: g}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, g
+}
+
+// FuzzRevalidateBody posts arbitrary bytes to /revalidate on a
+// CSV-loaded keyed tenant a full strong validation has seeded. No body
+// may panic the handler or earn a 5xx, and revalidation only reads: the
+// tenant's graph is still its snapshot afterwards, with no row store.
+func FuzzRevalidateBody(f *testing.F) {
+	for _, body := range []string{
+		`{"nodes": [0, 1]}`,
+		`{"nodes": [5], "edges": [47]}`,
+		`{"nodes": [48, 63], "labels": ["Town", "Place"]}`,
+		`{"edges": [0, 1, 2], "labels": ["City"]}`,
+		`{"labels": ["Ghost", ""]}`,
+		`{"nodes": [-1]}`,
+		`{"nodes": [9223372036854775807]}`,
+		`{"edges": [999]}`,
+		`{"apiVersion": "v2", "nodes": [0]}`,
+		`{"nodes": "0"}`,
+		`{}`,
+		``,
+		`[`,
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		h, g := newFuzzRevalidateHandler(t)
+		mux := h.Mux()
+		if rec := doRaw(t, mux, "POST", "/validate", ""); rec.Code != http.StatusOK {
+			t.Fatalf("validate: %d %s", rec.Code, rec.Body.String())
+		}
+		rec := doRaw(t, mux, "POST", "/revalidate", body)
+		if rec.Code >= 500 {
+			t.Fatalf("revalidate %q: %d %s", body, rec.Code, rec.Body.String())
+		}
+		if g.HasRowStore() {
+			t.Fatalf("revalidate %q (%d) inflated the tenant's row store", body, rec.Code)
+		}
+	})
+}
+
 // snapshotImage is the .pgsnap image of g's current snapshot.
 func snapshotImage(t *testing.T, g *pg.Graph) []byte {
 	t.Helper()

@@ -115,12 +115,15 @@ func regionOf(g *pg.Graph, delta Delta) deltaRegion {
 		reg.affected[g.NodeLabel(n)] = true
 		// A node's label and existence feed into the edge-scoped rules
 		// of every incident edge (WS2/WS3/SS3/SS4 key off λ(v1) and
-		// λ(v2)), so incident edges — including freshly removed ones —
-		// join the region.
-		for _, e := range g.AllOutEdges(n) {
+		// λ(v2)), so incident edges join the region. The raw rows read
+		// the snapshot of a graph no write has inflated, without
+		// inflating it: a row store's rows keep tombstones, a cold
+		// graph's hold live edges only — and every edge an apply
+		// removed is already in its Touched.Edges.
+		for _, e := range g.OutEdgesRaw(n) {
 			reg.edgeSet.setBit(int(e))
 		}
-		for _, e := range g.AllInEdges(n) {
+		for _, e := range g.InEdgesRaw(n) {
 			reg.edgeSet.setBit(int(e))
 		}
 	}
