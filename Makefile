@@ -1,10 +1,15 @@
-# Tier-1 gate: everything must build, vet clean, pass the test suite
-# under the race detector, and keep the fused engine in agreement with
-# its test oracles (the differential harness runs under -race as part of
-# `race`; the dedicated `differential` target re-runs just it, shuffled).
-.PHONY: check build vet test race api-golden differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke fuzz-apply-smoke fuzz-revalidate-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke bench-serve scale-smoke scale-differential stream-smoke snapshot-differential clean
+# Tier-1 gate: everything must be gofmt-clean, build, vet clean, pass
+# the test suite under the race detector, and keep the fused engine in
+# agreement with its test oracles (the differential harness runs under
+# -race as part of `race`; the dedicated `differential` target re-runs
+# just it, shuffled).
+.PHONY: check fmt build vet test race api-golden differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke fuzz-apply-smoke fuzz-revalidate-smoke fuzz-validate-smoke fuzz-graphql-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke bench-serve scale-smoke scale-differential stream-smoke snapshot-differential clean
 
-check: build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke fuzz-apply-smoke fuzz-revalidate-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
+check: fmt build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke fuzz-apply-smoke fuzz-revalidate-smoke fuzz-validate-smoke fuzz-graphql-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
+
+# Every Go file must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 build:
 	go build ./...
@@ -129,12 +134,15 @@ stream-smoke:
 # memory-mapped snapshot must be byte-identical to the heap-resident
 # graph across every engine configuration and mode, the file round trip
 # must reproduce the snapshot exactly (including the copy-on-write
-# Apply path and the corruption table), and the cold→inflated handoff
-# must be race-free under concurrent readers, and a loaded graph (mapped
-# or streamed) must stay its snapshot — no row store — until a write.
+# Apply path and the corruption table), a mapped graph's readers must
+# answer as the graph it was written from (tombstones included), point
+# readers and Snapshot folding a pending overlay must be race-free
+# together, and a loaded graph (mapped or streamed) must keep answering
+# from the snapshot it was loaded as until a write, whose first Apply
+# costs no more than its second.
 snapshot-differential:
 	go test -race -shuffle=on -count=1 \
-		-run 'TestMappedSnapshot|TestSnapshotFile|TestMappedApply|TestColdReaders|TestColdConcurrent|TestColdResidency|TestOpenSnapshot' \
+		-run 'TestMappedSnapshot|TestSnapshotFile|TestMappedApply|TestLoadedReaders|TestTombstoneReads|TestColdConcurrent|TestColdResidency|TestOpenSnapshot' \
 		./internal/validate/ ./internal/pg/
 
 # A short coverage-guided run of the .pgsnap opener fuzz target: any
@@ -161,9 +169,18 @@ fuzz-apply-smoke:
 # A short coverage-guided run of the incremental-validation fuzz
 # target: any body posted to /revalidate on a small CSV-loaded keyed
 # tenant must answer without a panic or a 5xx, and must leave the
-# tenant's graph without a row store (revalidation only reads).
+# tenant's graph at its epoch and snapshot (revalidation only reads).
 fuzz-revalidate-smoke:
 	go test -run '^$$' -fuzz FuzzRevalidateBody -fuzztime 10s ./internal/server/
+
+# Short coverage-guided runs of the read-endpoint fuzz targets: any body
+# posted to /validate or /graphql on the small keyed tenant must answer
+# without a panic or a 5xx and leave the graph at its epoch and snapshot.
+fuzz-validate-smoke:
+	go test -run '^$$' -fuzz FuzzValidateBody -fuzztime 10s ./internal/server/
+
+fuzz-graphql-smoke:
+	go test -run '^$$' -fuzz FuzzGraphQLBody -fuzztime 10s ./internal/server/
 
 # E14 — durable snapshots: WriteGraphSnapshot/OpenGraphSnapshot against
 # the streaming CSV loader (cold-start latency) and mapped vs heap

@@ -3,6 +3,7 @@ package pg
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"pgschema/internal/values"
@@ -149,7 +150,7 @@ func TestApplyRemoveNodeWithSelfLoop(t *testing.T) {
 	g := applyGraph()
 	n := g.AddNode("Author")
 	g.MustAddEdge(n, n, "relatedAuthor")
-	before := g.buildSnapshot()
+	before := rebuilt(g)
 	u, err := g.Apply(Delta{RemoveNodes: []NodeID{n}})
 	if err != nil {
 		t.Fatal(err)
@@ -163,13 +164,13 @@ func TestApplyRemoveNodeWithSelfLoop(t *testing.T) {
 	if err := u.Undo(); err != nil {
 		t.Fatal(err)
 	}
-	snapEqual(t, g.buildSnapshot(), before)
+	snapEqual(t, rebuilt(g), before)
 }
 
 func TestApplyAtomicRollback(t *testing.T) {
 	g := applyGraph()
 	epoch0 := g.Epoch()
-	before := g.buildSnapshot()
+	before := rebuilt(g)
 	nodes0, edges0 := g.NumNodes(), g.NumEdges()
 	_, err := g.Apply(Delta{
 		AddNodes:     []AddNodeSpec{{Label: "Author"}},
@@ -188,7 +189,7 @@ func TestApplyAtomicRollback(t *testing.T) {
 	if g.NumNodes() != nodes0 || g.NumEdges() != edges0 {
 		t.Fatalf("element counts changed: %d/%d -> %d/%d", nodes0, edges0, g.NumNodes(), g.NumEdges())
 	}
-	snapEqual(t, g.buildSnapshot(), before)
+	snapEqual(t, rebuilt(g), before)
 	if g.NodeLabel(0) != "Author" {
 		t.Fatalf("relabel not rolled back: %q", g.NodeLabel(0))
 	}
@@ -260,7 +261,7 @@ func TestUndoNeverRewindsEpoch(t *testing.T) {
 	if s := g.Snapshot(); s.Epoch() != g.Epoch() {
 		t.Fatalf("snapshot epoch %d, graph epoch %d", s.Epoch(), g.Epoch())
 	}
-	snapEqual(t, g.Snapshot(), g.buildSnapshot())
+	snapEqual(t, g.Snapshot(), rebuilt(g))
 }
 
 // randomDelta builds a random mutation batch referencing live elements
@@ -357,7 +358,7 @@ func TestApplyUndoRandomized(t *testing.T) {
 		}
 		for step := 0; step < 8; step++ {
 			g.Snapshot() // ensure a pre-apply snapshot is cached
-			before := g.buildSnapshot()
+			before := rebuilt(g)
 			epoch0 := g.Epoch()
 			d := randomDelta(g, rnd)
 			u, err := g.Apply(d)
@@ -366,7 +367,7 @@ func TestApplyUndoRandomized(t *testing.T) {
 			}
 			// Whatever Apply left in the cache (patched or stale) must
 			// not disagree with a full rebuild once consulted.
-			snapEqual(t, g.Snapshot(), g.buildSnapshot())
+			snapEqual(t, g.Snapshot(), rebuilt(g))
 			if u.Epoch() != g.Epoch() {
 				t.Fatalf("seed %d step %d: undo epoch %d vs graph %d", seed, step, u.Epoch(), g.Epoch())
 			}
@@ -374,7 +375,7 @@ func TestApplyUndoRandomized(t *testing.T) {
 				if err := u.Undo(); err != nil {
 					t.Fatalf("seed %d step %d: undo: %v", seed, step, err)
 				}
-				snapEqual(t, g.buildSnapshot(), before)
+				snapEqual(t, rebuilt(g), before)
 				if g.Epoch() <= epoch0 {
 					t.Fatalf("seed %d step %d: epoch rewound", seed, step)
 				}
@@ -402,6 +403,31 @@ func TestApplyPatchedSnapshotUsed(t *testing.T) {
 	if s == nil || s.Epoch() != g.Epoch() {
 		t.Fatalf("patched snapshot not installed (cached epoch %v, graph %d)", s, g.Epoch())
 	}
-	snapEqual(t, s, g.buildSnapshot())
+	snapEqual(t, s, rebuilt(g))
 	_ = u
+}
+
+// rebuilt is a from-scratch snapshot of g's current state: every row,
+// read through g's point readers, appended to an empty base and folded.
+// It is the same for two graphs with the same content, symbols and
+// epoch, whatever base and overlay each holds.
+func rebuilt(g *Graph) *Snapshot {
+	c := &Graph{syms: g.syms.clone(), epoch: g.epoch, base: emptySnapshot()}
+	ov := newOverlay(c.base)
+	ov.nodesAdded, ov.edgesAdded = true, true
+	for v := range NodeID(g.NodeBound()) {
+		ov.newNodes = append(ov.newNodes, nodeRow{
+			label: g.NodeLabelSym(v),
+			props: slices.Clone(g.NodeProps(v)),
+			out:   slices.Clone(g.OutEdgesRaw(v)),
+			in:    slices.Clone(g.InEdgesRaw(v)),
+		})
+	}
+	for e := range EdgeID(g.EdgeBound()) {
+		src, dst := g.Endpoints(e)
+		ov.newEdges = append(ov.newEdges, edgeRow{src: src, dst: dst, label: g.EdgeLabelSym(e), props: slices.Clone(g.EdgeProps(e))})
+	}
+	ov.liveNodes, ov.liveEdges = g.NumNodes(), g.NumEdges()
+	c.ov = ov
+	return c.fold()
 }

@@ -162,12 +162,11 @@ func assertSnapshotsEqual(t *testing.T, got, want *Snapshot) {
 	}
 }
 
-// TestReadCSVStreamSnapshotImmutable pins the inflate-on-first-write
-// contract: a sealed graph is its snapshot until the first write
-// inflates a row store, whose adjacency rows alias the snapshot's CSR
-// columns capacity-capped, so mutating the graph must never change a
-// snapshot taken before the mutation (incremental revalidation and
-// undo retain old snapshots).
+// TestReadCSVStreamSnapshotImmutable pins the write contract: a sealed
+// graph is its snapshot, and writes copy the rows they touch into the
+// graph's overlay, so mutating the graph must never change a snapshot
+// taken before the mutation (incremental revalidation and undo retain
+// old snapshots).
 func TestReadCSVStreamSnapshotImmutable(t *testing.T) {
 	nodes := "id,label,name,rank\nu0,User,\"zero\",0\nu1,User,\"one\",1\n"
 	edges := "source,target,label,weight\nu0,u1,knows,0.5\n"
@@ -207,9 +206,9 @@ func TestReadCSVStreamSnapshotImmutable(t *testing.T) {
 }
 
 // TestReadCSVStreamApplyUndo drives the transactional mutation path
-// over a freshly streamed graph: Apply's in-place property writes and
-// Undo's replay both land on the inflated row store, never on the
-// retained snapshot.
+// over a freshly streamed graph: Apply's property writes land in the
+// overlay and its fold, Undo re-installs the snapshot, and the
+// retained snapshot never changes.
 func TestReadCSVStreamApplyUndo(t *testing.T) {
 	nodes := "id,label,name\nu0,User,\"zero\"\nu1,User,\"one\"\n"
 	edges := "source,target,label\nu0,u1,knows\n"

@@ -3,19 +3,23 @@
 // node and edge carries exactly one label (λ) and a partial map from
 // property names to values (σ).
 //
-// The Graph type is an in-memory store with label and adjacency indexes
-// sized for validation workloads: out- and in-edges are grouped per node
-// and can be filtered by label without scanning E. Labels and property
-// names are interned to dense Syms so compiled validators can replace
-// string hashing with array indexing; an epoch counter versions every
-// mutation so derived structures (bound validation programs, cached
-// node enumerations) know when they are stale.
+// A Graph is one immutable columnar Snapshot (labels, CSR adjacency,
+// flattened property rows; heap-allocated or mapped from a .pgsnap
+// file) plus a small overlay of the writes made since it: the rows of
+// the elements a write touched, appended elements, and tombstones.
+// Point readers consult the overlay first and the snapshot otherwise;
+// Snapshot folds the overlay into a new immutable snapshot, which
+// validation and queries scan. Labels and property names are interned
+// to dense Syms so compiled validators can replace string hashing with
+// array indexing; an epoch counter versions every mutation so derived
+// structures (bound validation programs, cached snapshots) know when
+// they are stale.
 package pg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"pgschema/internal/values"
@@ -35,61 +39,121 @@ type Prop struct {
 	Value values.Value
 }
 
-// node holds λ(v), σ(v, ·), and the adjacency lists for one node.
-type node struct {
-	label   Sym
-	props   []Prop
-	out     []EdgeID
-	in      []EdgeID
-	removed bool
-}
-
-// edge holds ρ(e), λ(e), and σ(e, ·) for one edge.
-type edge struct {
-	src, dst NodeID
-	label    Sym
-	props    []Prop
-	removed  bool
-}
-
-// Graph is a mutable Property Graph. The zero value is an empty graph
-// ready to use. Graph is not safe for concurrent mutation; concurrent
-// readers are safe once mutation has stopped.
+// Graph is a mutable Property Graph. Graph is not safe for concurrent
+// mutation; concurrent readers (Snapshot included) are safe once
+// mutation has stopped.
 type Graph struct {
-	nodes []node
-	edges []edge
-
 	syms  symbols
 	epoch uint64
-	// byLabel indexes the live-or-removed nodes of each label by the
-	// label's Sym. Buckets exist only for syms that have been node
-	// labels; lookups by string go through the intern table once instead
-	// of hashing the label on every call.
-	byLabel      [][]NodeID
-	removedNodes int
-	removedEdges int
 
-	// snap caches the columnar Snapshot of the graph; it is keyed by
-	// epoch, so mutations invalidate it lazily (the next Snapshot call
-	// rebuilds) without mutators having to clear it.
+	// base is the immutable snapshot the graph's unwritten rows are
+	// read from; ov holds the writes made since base (nil when there
+	// are none, in which case base is at the current epoch).
+	base *Snapshot
+	ov   *overlay
+
+	// snap caches the snapshot of the current state, keyed by epoch:
+	// base itself when ov is nil, else the latest fold of base and ov.
 	snap atomic.Pointer[Snapshot]
-
-	// cold is non-nil while a loaded graph (streamed from CSV or opened
-	// from a .pgsnap file) has not materialized its row store: readers
-	// on the compiled validation/query path answer from this snapshot,
-	// and writes and store-shaped reads go through ensureStore (see
-	// cold.go). Atomic because concurrent readers may race one of them
-	// inflating the store.
-	cold      atomic.Pointer[Snapshot]
-	storeOnce sync.Once
 
 	// mapping is the file mapping a graph opened with OpenSnapshot
 	// reads through; Close releases it.
 	mapping *snapMapping
 }
 
+// overlay is the writes made to a graph since its base snapshot. Rows
+// are owned by the overlay (never aliased with a snapshot), so writes
+// edit them in place.
+type overlay struct {
+	// nodeBase and edgeBase are the base's bounds: appended elements
+	// take ids from there and live in newNodes/newEdges.
+	nodeBase, edgeBase int
+	newNodes           []nodeRow
+	newEdges           []edgeRow
+	// nodes and edges hold the current rows of base elements a write
+	// reached: a node whose label, properties or existence changed
+	// (touched) or only whose adjacency did; an edge that was
+	// re-propertied, relabeled or removed.
+	nodes map[NodeID]*nodeRow
+	edges map[EdgeID]*edgeRow
+
+	liveNodes, liveEdges int
+	// labels holds the label syms whose node extent a relabel or a
+	// removal changed, including former labels.
+	labels map[Sym]struct{}
+
+	nodesAdded, nodesRelabeled, nodesRemoved bool
+	edgesAdded, edgesRelabeled, edgesRemoved bool
+	nodePropOps, edgePropOps                 bool // a property row of a pre-existing element changed
+}
+
+// nodeRow is λ(v), σ(v, ·) sorted by name, and v's live adjacency in
+// edge-id order. A removed node has label NoSym and empty rows.
+type nodeRow struct {
+	label   Sym
+	touched bool // label, properties or existence written (base rows)
+	props   []Prop
+	out, in []EdgeID
+}
+
+// edgeRow is ρ(e), λ(e) and σ(e, ·). A removed edge keeps its
+// endpoints and has label NoSym and no properties.
+type edgeRow struct {
+	src, dst NodeID
+	label    Sym
+	props    []Prop
+}
+
+func newOverlay(base *Snapshot) *overlay {
+	return &overlay{
+		nodeBase:  base.NodeBound(),
+		edgeBase:  base.EdgeBound(),
+		nodes:     make(map[NodeID]*nodeRow),
+		edges:     make(map[EdgeID]*edgeRow),
+		liveNodes: base.liveNodes,
+		liveEdges: base.liveEdges,
+		labels:    make(map[Sym]struct{}),
+	}
+}
+
+// emptySnapshot is the base of a graph built through the mutation API.
+func emptySnapshot() *Snapshot {
+	zero := []uint32{0}
+	return &Snapshot{
+		idx:         newSnapIndexes(),
+		outOff:      zero,
+		inOff:       zero,
+		nodePropOff: zero,
+		edgePropOff: zero,
+	}
+}
+
 // New returns an empty Property Graph.
-func New() *Graph { return &Graph{} }
+func New() *Graph { return newLoadedGraph(emptySnapshot(), symbols{}, nil) }
+
+// newLoadedGraph returns a graph that is the sealed snapshot s, with
+// the given symbol table and file mapping (nil for heap snapshots). Both
+// loaders — the streaming CSV loader and the .pgsnap opener — return
+// one, so a loaded graph that is only validated and queried never holds
+// more than its snapshot.
+func newLoadedGraph(s *Snapshot, syms symbols, m *snapMapping) *Graph {
+	g := &Graph{syms: syms, epoch: s.epoch, base: s, mapping: m}
+	g.snap.Store(s)
+	return g
+}
+
+// Close releases the file mapping behind a graph opened with
+// OpenSnapshot (a no-op for ordinary graphs, and on platforms without
+// mmap). After Close, the graph and everything derived from it —
+// snapshots, clones, property values, validation results still holding
+// its strings — must not be used: their storage may alias the unmapped
+// file. Long-lived processes can simply never call Close and let
+// process exit unmap.
+func (g *Graph) Close() error {
+	m := g.mapping
+	g.mapping = nil
+	return m.close()
+}
 
 // Epoch returns the graph's mutation counter. Every mutating call
 // (adding/removing elements, relabeling, setting/deleting properties)
@@ -113,13 +177,89 @@ func (g *Graph) Sym(name string) (Sym, bool) {
 // SymName returns the string a valid Sym was interned from.
 func (g *Graph) SymName(s Sym) string { return g.syms.names[s] }
 
-// labelBucket returns the byLabel bucket for a label Sym, growing the
-// index when the sym is new.
-func (g *Graph) labelBucket(s Sym) *[]NodeID {
-	for int(s) >= len(g.byLabel) {
-		g.byLabel = append(g.byLabel, nil)
+// ovNode returns node id's overlay row, nil when the base answers.
+func (g *Graph) ovNode(id NodeID) *nodeRow {
+	ov := g.ov
+	if ov == nil {
+		return nil
 	}
-	return &g.byLabel[s]
+	if i := int(id) - ov.nodeBase; i >= 0 {
+		return &ov.newNodes[i]
+	}
+	return ov.nodes[id]
+}
+
+// ovEdge returns edge id's overlay row, nil when the base answers.
+func (g *Graph) ovEdge(id EdgeID) *edgeRow {
+	ov := g.ov
+	if ov == nil {
+		return nil
+	}
+	if i := int(id) - ov.edgeBase; i >= 0 {
+		return &ov.newEdges[i]
+	}
+	return ov.edges[id]
+}
+
+// writable returns the overlay writes go to. When a Snapshot call has
+// already folded the pending writes, it first makes that fold the base,
+// so the overlay only ever holds writes no snapshot has seen.
+func (g *Graph) writable() *overlay {
+	if s := g.snap.Load(); s != nil && s.epoch == g.epoch && s != g.base {
+		g.base, g.ov = s, nil
+	}
+	if g.ov == nil {
+		g.ov = newOverlay(g.base)
+	}
+	return g.ov
+}
+
+// settle folds the pending overlay into the base and returns the base.
+func (g *Graph) settle() *Snapshot {
+	s := g.Snapshot()
+	g.base, g.ov = s, nil
+	return s
+}
+
+// writeNode returns node id's overlay row for writing, copying a base
+// node's row into the overlay on its first write.
+func (g *Graph) writeNode(id NodeID) *nodeRow {
+	ov := g.writable()
+	if i := int(id) - ov.nodeBase; i >= 0 {
+		return &ov.newNodes[i]
+	}
+	r := ov.nodes[id]
+	if r == nil {
+		b := g.base
+		r = &nodeRow{
+			label: b.nodeLabels[id],
+			props: slices.Clone(b.NodePropsOf(id)),
+			out:   slices.Clone(b.OutEdgesOf(id)),
+			in:    slices.Clone(b.InEdgesOf(id)),
+		}
+		ov.nodes[id] = r
+	}
+	return r
+}
+
+// writeEdge is writeNode for edges.
+func (g *Graph) writeEdge(id EdgeID) *edgeRow {
+	ov := g.writable()
+	if i := int(id) - ov.edgeBase; i >= 0 {
+		return &ov.newEdges[i]
+	}
+	r := ov.edges[id]
+	if r == nil {
+		b := g.base
+		r = &edgeRow{
+			src:   b.edgeSrc[id],
+			dst:   b.edgeDst[id],
+			label: b.edgeLabels[id],
+			props: slices.Clone(b.EdgePropsOf(id)),
+		}
+		ov.edges[id] = r
+	}
+	return r
 }
 
 // AddNode adds a node with label λ(v) = label and returns its ID.
@@ -130,11 +270,11 @@ func (g *Graph) AddNode(label string) NodeID {
 // addNodeSym is AddNode for a pre-interned label Sym — bulk loaders
 // intern each header or label string once and skip per-row hashing.
 func (g *Graph) addNodeSym(label Sym) NodeID {
-	g.ensureStore()
-	id := NodeID(len(g.nodes))
-	g.nodes = append(g.nodes, node{label: label})
-	b := g.labelBucket(label)
-	*b = append(*b, id)
+	ov := g.writable()
+	id := NodeID(ov.nodeBase + len(ov.newNodes))
+	ov.newNodes = append(ov.newNodes, nodeRow{label: label})
+	ov.liveNodes++
+	ov.nodesAdded = true
 	g.epoch++
 	return id
 }
@@ -146,17 +286,21 @@ func (g *Graph) AddEdge(src, dst NodeID, label string) (EdgeID, error) {
 
 // addEdgeSym is AddEdge for a pre-interned label Sym.
 func (g *Graph) addEdgeSym(src, dst NodeID, label Sym) (EdgeID, error) {
-	g.ensureStore()
 	if !g.validNode(src) {
 		return 0, fmt.Errorf("pg: AddEdge: invalid source node %d", src)
 	}
 	if !g.validNode(dst) {
 		return 0, fmt.Errorf("pg: AddEdge: invalid target node %d", dst)
 	}
-	id := EdgeID(len(g.edges))
-	g.edges = append(g.edges, edge{src: src, dst: dst, label: label})
-	g.nodes[src].out = append(g.nodes[src].out, id)
-	g.nodes[dst].in = append(g.nodes[dst].in, id)
+	ov := g.writable()
+	id := EdgeID(ov.edgeBase + len(ov.newEdges))
+	ov.newEdges = append(ov.newEdges, edgeRow{src: src, dst: dst, label: label})
+	s := g.writeNode(src)
+	s.out = append(s.out, id)
+	d := g.writeNode(dst)
+	d.in = append(d.in, id)
+	ov.liveEdges++
+	ov.edgesAdded = true
 	g.epoch++
 	return id, nil
 }
@@ -171,61 +315,54 @@ func (g *Graph) MustAddEdge(src, dst NodeID, label string) EdgeID {
 }
 
 func (g *Graph) validNode(id NodeID) bool {
-	if c := g.cold.Load(); c != nil {
-		return id >= 0 && int(id) < len(c.nodeLabels) && c.nodeLabels[id] != NoSym
-	}
-	return id >= 0 && int(id) < len(g.nodes) && !g.nodes[id].removed
+	return id >= 0 && int(id) < g.NodeBound() && g.NodeLabelSym(id) != NoSym
 }
 
 func (g *Graph) validEdge(id EdgeID) bool {
-	if c := g.cold.Load(); c != nil {
-		return id >= 0 && int(id) < len(c.edgeLabels) && c.edgeLabels[id] != NoSym
-	}
-	return id >= 0 && int(id) < len(g.edges) && !g.edges[id].removed
+	return id >= 0 && int(id) < g.EdgeBound() && g.EdgeLabelSym(id) != NoSym
 }
 
 // NumNodes returns |V|.
 func (g *Graph) NumNodes() int {
-	if c := g.cold.Load(); c != nil {
-		return c.liveNodes
+	if g.ov != nil {
+		return g.ov.liveNodes
 	}
-	return len(g.nodes) - g.removedNodes
+	return g.base.liveNodes
 }
 
 // NumEdges returns |E|.
 func (g *Graph) NumEdges() int {
-	if c := g.cold.Load(); c != nil {
-		return c.liveEdges
+	if g.ov != nil {
+		return g.ov.liveEdges
 	}
-	return len(g.edges) - g.removedEdges
+	return g.base.liveEdges
 }
 
 // NodeBound returns the exclusive upper bound of node IDs ever
 // allocated, including removed ones. Hot loops iterate id ∈ [0,
 // NodeBound()) and skip !HasNode(id) instead of materializing Nodes().
 func (g *Graph) NodeBound() int {
-	if c := g.cold.Load(); c != nil {
-		return len(c.nodeLabels)
+	if ov := g.ov; ov != nil {
+		return ov.nodeBase + len(ov.newNodes)
 	}
-	return len(g.nodes)
+	return g.base.NodeBound()
 }
 
 // EdgeBound returns the exclusive upper bound of edge IDs ever
 // allocated, including removed ones.
 func (g *Graph) EdgeBound() int {
-	if c := g.cold.Load(); c != nil {
-		return len(c.edgeLabels)
+	if ov := g.ov; ov != nil {
+		return ov.edgeBase + len(ov.newEdges)
 	}
-	return len(g.edges)
+	return g.base.EdgeBound()
 }
 
 // Nodes returns the IDs of all nodes in insertion order.
 func (g *Graph) Nodes() []NodeID {
-	g.ensureStore()
 	out := make([]NodeID, 0, g.NumNodes())
-	for i := range g.nodes {
-		if !g.nodes[i].removed {
-			out = append(out, NodeID(i))
+	for v := range NodeID(g.NodeBound()) {
+		if g.NodeLabelSym(v) != NoSym {
+			out = append(out, v)
 		}
 	}
 	return out
@@ -233,11 +370,10 @@ func (g *Graph) Nodes() []NodeID {
 
 // Edges returns the IDs of all edges in insertion order.
 func (g *Graph) Edges() []EdgeID {
-	g.ensureStore()
 	out := make([]EdgeID, 0, g.NumEdges())
-	for i := range g.edges {
-		if !g.edges[i].removed {
-			out = append(out, EdgeID(i))
+	for e := range EdgeID(g.EdgeBound()) {
+		if g.EdgeLabelSym(e) != NoSym {
+			out = append(out, e)
 		}
 	}
 	return out
@@ -249,94 +385,102 @@ func (g *Graph) HasNode(id NodeID) bool { return g.validNode(id) }
 // HasEdge reports whether id is a live edge.
 func (g *Graph) HasEdge(id EdgeID) bool { return g.validEdge(id) }
 
-// NodeLabel returns λ(v).
+// NodeLabel returns λ(v), or "" for a removed node.
 func (g *Graph) NodeLabel(id NodeID) string {
-	if c := g.cold.Load(); c != nil {
-		if ls := c.nodeLabels[id]; ls != NoSym {
-			return g.syms.names[ls]
-		}
-		return "" // tombstone: a mapped snapshot keeps no removed label
+	if ls := g.NodeLabelSym(id); ls != NoSym {
+		return g.syms.names[ls]
 	}
-	return g.syms.names[g.nodes[id].label]
+	return ""
 }
 
-// EdgeLabel returns λ(e).
+// EdgeLabel returns λ(e), or "" for a removed edge.
 func (g *Graph) EdgeLabel(id EdgeID) string {
-	if c := g.cold.Load(); c != nil {
-		if ls := c.edgeLabels[id]; ls != NoSym {
-			return g.syms.names[ls]
-		}
-		return ""
+	if ls := g.EdgeLabelSym(id); ls != NoSym {
+		return g.syms.names[ls]
 	}
-	return g.syms.names[g.edges[id].label]
+	return ""
 }
 
-// NodeLabelSym returns λ(v) as an interned Sym.
+// NodeLabelSym returns λ(v) as an interned Sym, or NoSym for a removed
+// node.
 func (g *Graph) NodeLabelSym(id NodeID) Sym {
-	if c := g.cold.Load(); c != nil {
-		if ls := c.nodeLabels[id]; ls != NoSym {
-			return ls
-		}
-		return 0
+	if r := g.ovNode(id); r != nil {
+		return r.label
 	}
-	return g.nodes[id].label
+	return g.base.nodeLabels[id]
 }
 
-// EdgeLabelSym returns λ(e) as an interned Sym.
+// EdgeLabelSym returns λ(e) as an interned Sym, or NoSym for a removed
+// edge.
 func (g *Graph) EdgeLabelSym(id EdgeID) Sym {
-	if c := g.cold.Load(); c != nil {
-		if ls := c.edgeLabels[id]; ls != NoSym {
-			return ls
-		}
-		return 0
+	if r := g.ovEdge(id); r != nil {
+		return r.label
 	}
-	return g.edges[id].label
+	return g.base.edgeLabels[id]
 }
 
-// Endpoints returns ρ(e) = (src, dst).
+// Endpoints returns ρ(e) = (src, dst); a removed edge keeps its
+// endpoints.
 func (g *Graph) Endpoints(id EdgeID) (src, dst NodeID) {
-	if c := g.cold.Load(); c != nil {
-		return c.edgeSrc[id], c.edgeDst[id]
+	if r := g.ovEdge(id); r != nil {
+		return r.src, r.dst
 	}
-	e := &g.edges[id]
-	return e.src, e.dst
+	return g.base.Endpoints(id)
 }
 
-// SetNodeLabel relabels a node, maintaining the label index.
+// SetNodeLabel relabels a live node; on a removed node it does nothing.
 func (g *Graph) SetNodeLabel(id NodeID, label string) {
-	g.ensureStore()
-	n := &g.nodes[id]
-	ls := g.syms.intern(label)
-	if n.label == ls {
+	g.relabel(id, g.syms.intern(label))
+}
+
+// relabel sets λ(v) = ls; relabeling to the current label, or a removed
+// node, is no write.
+func (g *Graph) relabel(id NodeID, ls Sym) {
+	if !g.validNode(id) || g.NodeLabelSym(id) == ls {
 		return
 	}
-	g.byLabel[n.label] = removeID(g.byLabel[n.label], id)
-	n.label = ls
-	b := g.labelBucket(ls)
-	*b = append(*b, id)
+	r := g.writeNode(id)
+	ov := g.ov
+	ov.labels[r.label] = struct{}{}
+	ov.labels[ls] = struct{}{}
+	ov.nodesRelabeled = true
+	r.label, r.touched = ls, true
 	g.epoch++
 }
 
-// SetEdgeLabel relabels an edge.
+// SetEdgeLabel relabels a live edge; on a removed edge it does nothing.
 func (g *Graph) SetEdgeLabel(id EdgeID, label string) {
-	g.ensureStore()
-	g.edges[id].label = g.syms.intern(label)
+	if !g.validEdge(id) {
+		return
+	}
+	r := g.writeEdge(id)
+	r.label = g.syms.intern(label)
+	g.ov.edgesRelabeled = true
 	g.epoch++
 }
 
-// SetNodeProp sets σ(v, name) = v.
+// SetNodeProp sets σ(v, name) = v on a live node; on a removed node it
+// does nothing.
 func (g *Graph) SetNodeProp(id NodeID, name string, v values.Value) {
-	g.ensureStore()
-	n := &g.nodes[id]
-	n.props = setProp(n.props, Prop{Sym: g.syms.intern(name), Name: name, Value: v})
+	if !g.validNode(id) {
+		return
+	}
+	r := g.writeNode(id)
+	r.props = setProp(r.props, Prop{Sym: g.syms.intern(name), Name: name, Value: v})
+	r.touched = true
+	g.ov.nodePropOps = true
 	g.epoch++
 }
 
-// SetEdgeProp sets σ(e, name) = v.
+// SetEdgeProp sets σ(e, name) = v on a live edge; on a removed edge it
+// does nothing.
 func (g *Graph) SetEdgeProp(id EdgeID, name string, v values.Value) {
-	g.ensureStore()
-	e := &g.edges[id]
-	e.props = setProp(e.props, Prop{Sym: g.syms.intern(name), Name: name, Value: v})
+	if !g.validEdge(id) {
+		return
+	}
+	r := g.writeEdge(id)
+	r.props = setProp(r.props, Prop{Sym: g.syms.intern(name), Name: name, Value: v})
+	g.ov.edgePropOps = true
 	g.epoch++
 }
 
@@ -345,28 +489,55 @@ func (g *Graph) SetEdgeProp(id EdgeID, name string, v values.Value) {
 // graph takes ownership of the slice. Bulk loaders use it to skip the
 // per-property sorted insertion and bump the epoch once per node.
 func (g *Graph) setNodePropsSorted(id NodeID, props []Prop) {
-	g.nodes[id].props = props
+	g.writeNode(id).props = props
+	g.ov.nodePropOps = true
 	g.epoch++
 }
 
 // setEdgePropsSorted is setNodePropsSorted for an edge.
 func (g *Graph) setEdgePropsSorted(id EdgeID, props []Prop) {
-	g.edges[id].props = props
+	g.writeEdge(id).props = props
+	g.ov.edgePropOps = true
 	g.epoch++
 }
 
-// DeleteNodeProp removes (v, name) from dom(σ).
+// DeleteNodeProp removes (v, name) from dom(σ). Deleting a property
+// the node does not hold (or any property of a removed node) does
+// nothing and leaves the epoch alone.
 func (g *Graph) DeleteNodeProp(id NodeID, name string) {
-	g.ensureStore()
-	g.nodes[id].props = delProp(g.nodes[id].props, name)
-	g.epoch++
+	if g.deleteNodeProp(id, name) {
+		g.epoch++
+	}
 }
 
-// DeleteEdgeProp removes (e, name) from dom(σ).
+// deleteNodeProp removes (v, name) without an epoch bump, reporting
+// whether the property existed.
+func (g *Graph) deleteNodeProp(id NodeID, name string) bool {
+	if _, ok := g.NodeProp(id, name); !ok {
+		return false
+	}
+	r := g.writeNode(id)
+	r.props = delProp(r.props, name)
+	r.touched = true
+	g.ov.nodePropOps = true
+	return true
+}
+
+// DeleteEdgeProp removes (e, name) from dom(σ), like DeleteNodeProp.
 func (g *Graph) DeleteEdgeProp(id EdgeID, name string) {
-	g.ensureStore()
-	g.edges[id].props = delProp(g.edges[id].props, name)
-	g.epoch++
+	if g.deleteEdgeProp(id, name) {
+		g.epoch++
+	}
+}
+
+func (g *Graph) deleteEdgeProp(id EdgeID, name string) bool {
+	if _, ok := g.EdgeProp(id, name); !ok {
+		return false
+	}
+	r := g.writeEdge(id)
+	r.props = delProp(r.props, name)
+	g.ov.edgePropOps = true
+	return true
 }
 
 // setProp inserts or overwrites an entry, keeping props sorted by Name.
@@ -376,105 +547,89 @@ func setProp(props []Prop, p Prop) []Prop {
 		props[i].Value = p.Value
 		return props
 	}
-	props = append(props, Prop{})
-	copy(props[i+1:], props[i:])
-	props[i] = p
-	return props
+	return slices.Insert(props, i, p)
 }
 
 func delProp(props []Prop, name string) []Prop {
 	i := sort.Search(len(props), func(i int) bool { return props[i].Name >= name })
 	if i < len(props) && props[i].Name == name {
-		return append(props[:i], props[i+1:]...)
+		return slices.Delete(props, i, i+1)
 	}
 	return props
 }
 
-func getProp(props []Prop, name string) (values.Value, bool) {
-	i := sort.Search(len(props), func(i int) bool { return props[i].Name >= name })
-	if i < len(props) && props[i].Name == name {
-		return props[i].Value, true
-	}
-	return values.Value{}, false
-}
-
 // NodeProp returns σ(v, name) and whether (v, name) ∈ dom(σ).
 func (g *Graph) NodeProp(id NodeID, name string) (values.Value, bool) {
-	if c := g.cold.Load(); c != nil {
-		s, ok := g.syms.lookup(name)
-		if !ok {
-			return values.Value{}, false
-		}
-		return c.NodePropBySym(id, s)
+	s, ok := g.syms.lookup(name)
+	if !ok {
+		return values.Value{}, false
 	}
-	return getProp(g.nodes[id].props, name)
+	return g.NodePropBySym(id, s)
 }
 
 // EdgeProp returns σ(e, name) and whether (e, name) ∈ dom(σ).
 func (g *Graph) EdgeProp(id EdgeID, name string) (values.Value, bool) {
-	if c := g.cold.Load(); c != nil {
-		s, ok := g.syms.lookup(name)
-		if !ok {
-			return values.Value{}, false
-		}
-		return c.EdgePropBySym(id, s)
+	s, ok := g.syms.lookup(name)
+	if !ok {
+		return values.Value{}, false
 	}
-	return getProp(g.edges[id].props, name)
+	return g.EdgePropBySym(id, s)
 }
 
 // NodePropBySym returns σ(v, name) for an interned property name.
 // Passing NoSym (or a Sym never used as one of this node's property
 // names) reports false.
 func (g *Graph) NodePropBySym(id NodeID, s Sym) (values.Value, bool) {
-	if c := g.cold.Load(); c != nil {
-		return c.NodePropBySym(id, s)
+	if r := g.ovNode(id); r != nil {
+		return propBySym(r.props, s)
 	}
-	for i := range g.nodes[id].props {
-		if g.nodes[id].props[i].Sym == s {
-			return g.nodes[id].props[i].Value, true
-		}
-	}
-	return values.Value{}, false
+	return g.base.NodePropBySym(id, s)
 }
 
 // EdgePropBySym returns σ(e, name) for an interned property name.
 func (g *Graph) EdgePropBySym(id EdgeID, s Sym) (values.Value, bool) {
-	if c := g.cold.Load(); c != nil {
-		return c.EdgePropBySym(id, s)
+	if r := g.ovEdge(id); r != nil {
+		return propBySym(r.props, s)
 	}
-	for i := range g.edges[id].props {
-		if g.edges[id].props[i].Sym == s {
-			return g.edges[id].props[i].Value, true
+	return g.base.EdgePropBySym(id, s)
+}
+
+func propBySym(props []Prop, s Sym) (values.Value, bool) {
+	for i := range props {
+		if props[i].Sym == s {
+			return props[i].Value, true
 		}
 	}
 	return values.Value{}, false
 }
 
-// NodeProps returns the node's properties sorted by name. The slice is
-// shared with the graph: callers must not mutate it, and it is
+// NodeProps returns the node's properties sorted by name. The slice may
+// be shared with the graph: callers must not mutate it, and it is
 // invalidated by the next mutation of this node's properties.
 func (g *Graph) NodeProps(id NodeID) []Prop {
-	g.ensureStore()
-	return g.nodes[id].props
+	if r := g.ovNode(id); r != nil {
+		return r.props
+	}
+	return g.base.NodePropsOf(id)
 }
 
-// EdgeProps returns the edge's properties sorted by name, shared with
-// the graph under the same contract as NodeProps.
+// EdgeProps returns the edge's properties sorted by name, under the
+// same contract as NodeProps.
 func (g *Graph) EdgeProps(id EdgeID) []Prop {
-	g.ensureStore()
-	return g.edges[id].props
+	if r := g.ovEdge(id); r != nil {
+		return r.props
+	}
+	return g.base.EdgePropsOf(id)
 }
 
 // NodePropNames returns the sorted property names defined on the node.
 func (g *Graph) NodePropNames(id NodeID) []string {
-	g.ensureStore()
-	return propNames(g.nodes[id].props)
+	return propNames(g.NodeProps(id))
 }
 
 // EdgePropNames returns the sorted property names defined on the edge.
 func (g *Graph) EdgePropNames(id EdgeID) []string {
-	g.ensureStore()
-	return propNames(g.edges[id].props)
+	return propNames(g.EdgeProps(id))
 }
 
 func propNames(props []Prop) []string {
@@ -488,103 +643,78 @@ func propNames(props []Prop) []string {
 	return out
 }
 
-// NodesLabeled returns the IDs of all live nodes with λ(v) = label.
+// NodesLabeled returns the IDs of all live nodes with λ(v) = label, in
+// ascending order.
 func (g *Graph) NodesLabeled(label string) []NodeID {
 	ls, ok := g.syms.lookup(label)
 	if !ok {
 		return nil
 	}
-	return g.nodesLabeledSym(ls)
-}
-
-// nodesLabeledSym is NodesLabeled for a pre-interned label Sym.
-func (g *Graph) nodesLabeledSym(ls Sym) []NodeID {
-	if c := g.cold.Load(); c != nil {
-		// The snapshot's label lists hold only live nodes; copy under
-		// the same fresh-slice contract as the store path.
-		return append([]NodeID(nil), c.LabelNodes(ls)...)
+	if s := g.snap.Load(); s != nil && s.epoch == g.epoch {
+		return slices.Clone(s.LabelNodes(ls))
 	}
-	if int(ls) >= len(g.byLabel) {
-		return nil
-	}
-	ids := g.byLabel[ls]
-	out := make([]NodeID, 0, len(ids))
-	for _, id := range ids {
-		if !g.nodes[id].removed {
-			out = append(out, id)
+	// Pending writes no snapshot has folded yet (a graph being built
+	// through the mutation API): one scan, instead of a fold per call.
+	var out []NodeID
+	for v := range NodeID(g.NodeBound()) {
+		if g.NodeLabelSym(v) == ls {
+			out = append(out, v)
 		}
 	}
 	return out
 }
 
-// OutEdges returns the live outgoing edges of the node.
+// OutEdges returns the live outgoing edges of the node, in edge-id
+// order, as a fresh slice.
 func (g *Graph) OutEdges(id NodeID) []EdgeID {
-	g.ensureStore()
-	return g.liveEdges(g.nodes[id].out)
+	raw := g.OutEdgesRaw(id)
+	return append(make([]EdgeID, 0, len(raw)), raw...)
 }
 
-// InEdges returns the live incoming edges of the node.
+// InEdges returns the live incoming edges of the node as a fresh slice.
 func (g *Graph) InEdges(id NodeID) []EdgeID {
-	g.ensureStore()
-	return g.liveEdges(g.nodes[id].in)
+	raw := g.InEdgesRaw(id)
+	return append(make([]EdgeID, 0, len(raw)), raw...)
 }
 
-// OutEdgesRaw returns the node's outgoing edge list including removed
-// edges (tombstones), shared with the graph. Hot loops filter with
-// HasEdge instead of allocating a live copy.
+// OutEdgesRaw returns the node's live outgoing edges in edge-id order,
+// shared with the graph: callers must not mutate it, and it is
+// invalidated by the next mutation.
 func (g *Graph) OutEdgesRaw(id NodeID) []EdgeID {
-	if c := g.cold.Load(); c != nil {
-		return c.OutEdgesOf(id) // cold rows are live-only, read-only
+	if r := g.ovNode(id); r != nil {
+		return r.out
 	}
-	return g.nodes[id].out
+	return g.base.OutEdgesOf(id)
 }
 
-// InEdgesRaw returns the node's incoming edge list including removed
-// edges, shared with the graph.
+// InEdgesRaw returns the node's live incoming edges, shared with the
+// graph under the same contract as OutEdgesRaw.
 func (g *Graph) InEdgesRaw(id NodeID) []EdgeID {
-	if c := g.cold.Load(); c != nil {
-		return c.InEdgesOf(id)
+	if r := g.ovNode(id); r != nil {
+		return r.in
 	}
-	return g.nodes[id].in
-}
-
-func (g *Graph) liveEdges(ids []EdgeID) []EdgeID {
-	out := make([]EdgeID, 0, len(ids))
-	for _, id := range ids {
-		if !g.edges[id].removed {
-			out = append(out, id)
-		}
-	}
-	return out
+	return g.base.InEdgesOf(id)
 }
 
 // OutEdgesLabeled returns the node's live outgoing edges with λ(e) = label.
 func (g *Graph) OutEdgesLabeled(id NodeID, label string) []EdgeID {
-	g.ensureStore()
-	ls, ok := g.syms.lookup(label)
-	if !ok {
-		return nil
-	}
-	var out []EdgeID
-	for _, eid := range g.nodes[id].out {
-		if e := &g.edges[eid]; !e.removed && e.label == ls {
-			out = append(out, eid)
-		}
-	}
-	return out
+	return g.edgesLabeled(g.OutEdgesRaw(id), label)
 }
 
 // InEdgesLabeled returns the node's live incoming edges with λ(e) = label.
 func (g *Graph) InEdgesLabeled(id NodeID, label string) []EdgeID {
-	g.ensureStore()
+	return g.edgesLabeled(g.InEdgesRaw(id), label)
+}
+
+func (g *Graph) edgesLabeled(ids []EdgeID, label string) []EdgeID {
 	ls, ok := g.syms.lookup(label)
 	if !ok {
 		return nil
 	}
 	var out []EdgeID
-	for _, eid := range g.nodes[id].in {
-		if e := &g.edges[eid]; !e.removed && e.label == ls {
-			out = append(out, eid)
+	for _, e := range ids {
+		if g.EdgeLabelSym(e) == ls {
+			out = append(out, e)
 		}
 	}
 	return out
@@ -592,113 +722,80 @@ func (g *Graph) InEdgesLabeled(id NodeID, label string) []EdgeID {
 
 // OutDegreeLabeled counts the node's live outgoing edges with the label.
 func (g *Graph) OutDegreeLabeled(id NodeID, label string) int {
-	g.ensureStore()
-	ls, ok := g.syms.lookup(label)
-	if !ok {
-		return 0
-	}
-	n := 0
-	for _, eid := range g.nodes[id].out {
-		if e := &g.edges[eid]; !e.removed && e.label == ls {
-			n++
-		}
-	}
-	return n
+	return len(g.OutEdgesLabeled(id, label))
 }
 
 // RemoveEdge deletes an edge. The ID is never reused.
 func (g *Graph) RemoveEdge(id EdgeID) {
-	g.ensureStore()
 	if !g.validEdge(id) {
 		return
 	}
-	g.edges[id].removed = true
-	g.removedEdges++
+	r := g.writeEdge(id)
+	src := g.writeNode(r.src)
+	src.out = without(src.out, id)
+	dst := g.writeNode(r.dst)
+	dst.in = without(dst.in, id)
+	ov := g.ov
+	if len(r.props) > 0 {
+		ov.edgePropOps = true
+	}
+	r.label, r.props = NoSym, nil
+	ov.liveEdges--
+	ov.edgesRemoved = true
 	g.epoch++
+}
+
+func without(list []EdgeID, id EdgeID) []EdgeID {
+	i := slices.Index(list, id)
+	return slices.Delete(list, i, i+1)
 }
 
 // RemoveNode deletes a node together with all its incident edges.
 func (g *Graph) RemoveNode(id NodeID) {
-	g.ensureStore()
 	if !g.validNode(id) {
 		return
 	}
-	for _, eid := range g.nodes[id].out {
-		g.RemoveEdge(eid)
+	for _, e := range slices.Clone(g.OutEdgesRaw(id)) {
+		g.RemoveEdge(e)
 	}
-	for _, eid := range g.nodes[id].in {
-		g.RemoveEdge(eid)
+	for _, e := range slices.Clone(g.InEdgesRaw(id)) {
+		g.RemoveEdge(e)
 	}
-	n := &g.nodes[id]
-	n.removed = true
-	g.removedNodes++
-	g.byLabel[n.label] = removeID(g.byLabel[n.label], id)
+	r := g.writeNode(id)
+	ov := g.ov
+	ov.labels[r.label] = struct{}{}
+	if len(r.props) > 0 {
+		ov.nodePropOps = true
+	}
+	r.label, r.props, r.touched = NoSym, nil, true
+	ov.liveNodes--
+	ov.nodesRemoved = true
 	g.epoch++
-}
-
-func removeID(ids []NodeID, id NodeID) []NodeID {
-	for i, x := range ids {
-		if x == id {
-			return append(ids[:i], ids[i+1:]...)
-		}
-	}
-	return ids
 }
 
 // Labels returns the distinct node labels present in the graph, sorted.
 func (g *Graph) Labels() []string {
-	if c := g.cold.Load(); c != nil {
-		return g.coldLabels(c)
-	}
+	s := g.Snapshot()
 	var out []string
-	for s, ids := range g.byLabel {
-		live := false
-		for _, id := range ids {
-			if !g.nodes[id].removed {
-				live = true
-				break
-			}
-		}
-		if live {
-			out = append(out, g.syms.names[s])
+	for sym := range s.symNames {
+		if len(s.LabelNodes(Sym(sym))) > 0 {
+			out = append(out, g.syms.names[sym])
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-// Clone returns a deep copy of the graph. Property values are immutable
-// and shared; property lists and adjacency lists are copied. Syms and
-// the epoch carry over, so structures bound to the original at the
-// current epoch describe the clone equally well until either side
-// mutates.
+// Clone returns an independent copy of the graph. The clone shares the
+// graph's immutable snapshot (folding pending writes first) and writes
+// into its own overlay, so either side can mutate without the other
+// seeing it. Syms and the epoch carry over, so structures bound to the
+// original at the current epoch describe the clone equally well until
+// either side mutates. A clone of a mapped graph reads the same
+// mapping: it must not be used after the original's Close.
 func (g *Graph) Clone() *Graph {
-	g.ensureStore()
-	c := &Graph{
-		nodes:        make([]node, len(g.nodes)),
-		edges:        make([]edge, len(g.edges)),
-		syms:         g.syms.clone(),
-		epoch:        g.epoch,
-		byLabel:      make([][]NodeID, len(g.byLabel)),
-		removedNodes: g.removedNodes,
-		removedEdges: g.removedEdges,
-	}
-	for i, n := range g.nodes {
-		cp := n
-		cp.props = append([]Prop(nil), n.props...)
-		cp.out = append([]EdgeID(nil), n.out...)
-		cp.in = append([]EdgeID(nil), n.in...)
-		c.nodes[i] = cp
-	}
-	for i, e := range g.edges {
-		cp := e
-		cp.props = append([]Prop(nil), e.props...)
-		c.edges[i] = cp
-	}
-	for s, ids := range g.byLabel {
-		if ids != nil {
-			c.byLabel[s] = append([]NodeID(nil), ids...)
-		}
-	}
+	s := g.Snapshot()
+	c := &Graph{syms: g.syms.clone(), epoch: g.epoch, base: s}
+	c.snap.Store(s)
 	return c
 }

@@ -434,3 +434,125 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Errorf("edge since: %v", got)
 	}
 }
+
+// TestTombstoneReads: a removed node or edge answers "" / NoSym, no
+// properties and no adjacency on every kind of graph — built through
+// the mutation API, streamed from CSV, mapped from a .pgsnap file, and
+// mapped after an Apply and an Undo — whether the tombstone sits in the
+// snapshot or in a pending overlay, and writes to it change nothing.
+func TestTombstoneReads(t *testing.T) {
+	// build adds a Book (0) and an Author (1) with a "wrote" edge (0)
+	// from the author to the book, plus a second Author (2).
+	build := func(g *Graph) {
+		book := g.AddNode("Book")
+		g.SetNodeProp(book, "title", values.String("Gone"))
+		author := g.AddNode("Author")
+		g.SetNodeProp(author, "name", values.String("Ann"))
+		g.AddNode("Author")
+		e := g.MustAddEdge(author, book, "wrote")
+		g.SetEdgeProp(e, "year", values.Int(1999))
+	}
+	const book, author, wrote = NodeID(0), NodeID(1), EdgeID(0)
+	built := func(t *testing.T) *Graph {
+		g := New()
+		build(g)
+		g.RemoveNode(book)
+		return g
+	}
+	mapped := func(t *testing.T) *Graph {
+		g, err := OpenSnapshot(writeSnapFile(t, built(t)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { g.Close() })
+		return g
+	}
+	for _, c := range []struct {
+		name string
+		open func(t *testing.T) *Graph
+	}{
+		{"mutation API", built},
+		{"mutation API, written after removal", func(t *testing.T) *Graph {
+			g := built(t)
+			epoch := g.Epoch()
+			g.SetNodeLabel(book, "Book")
+			g.SetNodeProp(book, "title", values.String("Back"))
+			g.DeleteNodeProp(book, "title")
+			g.SetEdgeLabel(wrote, "wrote")
+			g.SetEdgeProp(wrote, "year", values.Int(2000))
+			g.DeleteEdgeProp(wrote, "year")
+			if g.Epoch() != epoch {
+				t.Errorf("writes to removed elements moved the epoch %d -> %d", epoch, g.Epoch())
+			}
+			return g
+		}},
+		{"mutation API, folded", func(t *testing.T) *Graph {
+			g := built(t)
+			g.Snapshot()
+			return g
+		}},
+		{"streamed, pending removal", func(t *testing.T) *Graph {
+			live := New()
+			build(live)
+			var nodes, edges bytes.Buffer
+			if err := live.WriteCSV(&nodes, &edges); err != nil {
+				t.Fatal(err)
+			}
+			g, err := ReadCSVStream(&nodes, &edges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.RemoveNode(book)
+			return g
+		}},
+		{"mapped", mapped},
+		{"mapped after Apply and Undo", func(t *testing.T) *Graph {
+			g := mapped(t)
+			if _, err := g.Apply(Delta{SetNodeProps: []NodePropSpec{{Node: author, Name: "name", Value: values.String("Bea")}}}); err != nil {
+				t.Fatal(err)
+			}
+			u, err := g.Apply(Delta{RemoveNodes: []NodeID{author}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := u.Undo(); err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.open(t)
+			if g.HasNode(book) || g.NodeLabel(book) != "" || g.NodeLabelSym(book) != NoSym {
+				t.Errorf("removed node: live %v, label %q, sym %d", g.HasNode(book), g.NodeLabel(book), g.NodeLabelSym(book))
+			}
+			if _, ok := g.NodeProp(book, "title"); ok || len(g.NodeProps(book)) != 0 {
+				t.Errorf("removed node keeps properties %v", g.NodeProps(book))
+			}
+			if len(g.OutEdgesRaw(book)) != 0 || len(g.InEdgesRaw(book)) != 0 {
+				t.Errorf("removed node keeps adjacency: out %v, in %v", g.OutEdgesRaw(book), g.InEdgesRaw(book))
+			}
+			if g.HasEdge(wrote) || g.EdgeLabel(wrote) != "" || g.EdgeLabelSym(wrote) != NoSym {
+				t.Errorf("removed edge: live %v, label %q, sym %d", g.HasEdge(wrote), g.EdgeLabel(wrote), g.EdgeLabelSym(wrote))
+			}
+			if src, dst := g.Endpoints(wrote); src != author || dst != book {
+				t.Errorf("removed edge endpoints (%d, %d), want (%d, %d)", src, dst, author, book)
+			}
+			if _, ok := g.EdgeProp(wrote, "year"); ok || len(g.EdgeProps(wrote)) != 0 {
+				t.Errorf("removed edge keeps properties %v", g.EdgeProps(wrote))
+			}
+			if len(g.OutEdgesRaw(author)) != 0 {
+				t.Errorf("author still lists the removed edge: %v", g.OutEdgesRaw(author))
+			}
+			if got := g.NodesLabeled("Book"); len(got) != 0 {
+				t.Errorf("NodesLabeled(Book) = %v", got)
+			}
+			if got := strings.Join(g.Labels(), ","); got != "Author" {
+				t.Errorf("Labels = %s", got)
+			}
+			if g.NumNodes() != 2 || g.NumEdges() != 0 || g.NodeBound() != 3 || g.EdgeBound() != 1 {
+				t.Errorf("counts %d/%d, bounds %d/%d", g.NumNodes(), g.NumEdges(), g.NodeBound(), g.EdgeBound())
+			}
+		})
+	}
+}

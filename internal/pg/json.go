@@ -36,12 +36,12 @@ func (g *Graph) WriteJSON(w io.Writer) error {
 	for _, id := range g.Nodes() {
 		nm := fmt.Sprintf("n%d", id)
 		name[id] = nm
-		jn := jsonNode{ID: nm, Label: g.NodeLabel(id), Props: propMap(g.nodes[id].props)}
+		jn := jsonNode{ID: nm, Label: g.NodeLabel(id), Props: propMap(g.NodeProps(id))}
 		doc.Nodes = append(doc.Nodes, jn)
 	}
 	for _, id := range g.Edges() {
 		src, dst := g.Endpoints(id)
-		je := jsonEdge{Src: name[src], Dst: name[dst], Label: g.EdgeLabel(id), Props: propMap(g.edges[id].props)}
+		je := jsonEdge{Src: name[src], Dst: name[dst], Label: g.EdgeLabel(id), Props: propMap(g.EdgeProps(id))}
 		doc.Edges = append(doc.Edges, je)
 	}
 	enc := json.NewEncoder(w)

@@ -433,11 +433,10 @@ func Verify() OpenOption { return func(o *openOpts) { o.verify = true } }
 // snapshot columns alias the mapping: no allocations proportional to
 // graph size, open cost O(header + symbol table), pages faulted in
 // lazily on first access. Like a streamed CSV graph, the result is its
-// snapshot until the first write (see cold.go): compiled validation,
-// revalidation and queries read the mapped columns directly, and the
-// first mutation (or store-shaped read, e.g. the rule-by-rule test
-// oracle) inflates a private row store — the file is never written
-// through.
+// snapshot: validation, revalidation and queries read the mapped
+// columns directly, and writes go to the graph's overlay and fold into
+// new snapshots that share the clean columns — the file is never
+// written through.
 //
 // Close releases the mapping; see Graph.Close for the lifetime rules.
 func OpenSnapshot(path string, opts ...OpenOption) (*Graph, error) {

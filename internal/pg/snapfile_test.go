@@ -188,68 +188,64 @@ func TestMappedApplyCopyOnWrite(t *testing.T) {
 	}
 }
 
-// TestColdReadersMatchInflated runs the same read surface against a
-// cold (store-free) graph and one forced through inflation, and
-// requires identical answers.
-func TestColdReadersMatchInflated(t *testing.T) {
-	g := richGraph(t)
-	path := writeSnapFile(t, g)
-	cold, err := OpenSnapshot(path)
+// TestLoadedReadersMatchBuilt runs the same read surface against a
+// mapped graph and the graph built through the mutation API it was
+// written from, and requires identical answers — tombstones included.
+func TestLoadedReadersMatchBuilt(t *testing.T) {
+	built := richGraph(t)
+	loaded, err := OpenSnapshot(writeSnapFile(t, built))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cold.Close()
-	warm, err := OpenSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer warm.Close()
-	warm.Nodes() // store-shaped read: forces inflation
+	defer loaded.Close()
 
-	if cold.NumNodes() != warm.NumNodes() || cold.NumEdges() != warm.NumEdges() {
-		t.Fatalf("counts: cold (%d,%d), warm (%d,%d)",
-			cold.NumNodes(), cold.NumEdges(), warm.NumNodes(), warm.NumEdges())
+	if loaded.NumNodes() != built.NumNodes() || loaded.NumEdges() != built.NumEdges() {
+		t.Fatalf("counts: loaded (%d,%d), built (%d,%d)",
+			loaded.NumNodes(), loaded.NumEdges(), built.NumNodes(), built.NumEdges())
 	}
-	if cold.NodeBound() != warm.NodeBound() || cold.EdgeBound() != warm.EdgeBound() {
+	if loaded.NodeBound() != built.NodeBound() || loaded.EdgeBound() != built.EdgeBound() {
 		t.Fatalf("bounds differ")
 	}
-	if got, want := cold.Labels(), warm.Labels(); strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("Labels: cold %v, warm %v", got, want)
+	if got, want := loaded.Labels(), built.Labels(); strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Fatalf("Labels: loaded %v, built %v", got, want)
 	}
-	for v := 0; v < cold.NodeBound(); v++ {
+	for v := 0; v < loaded.NodeBound(); v++ {
 		id := NodeID(v)
-		if cold.HasNode(id) != warm.HasNode(id) {
-			t.Fatalf("node %d liveness: cold %v, warm %v", v, cold.HasNode(id), warm.HasNode(id))
+		if loaded.HasNode(id) != built.HasNode(id) {
+			t.Fatalf("node %d liveness: loaded %v, built %v", v, loaded.HasNode(id), built.HasNode(id))
 		}
-		// A removed node's label is unspecified (the file keeps only the
-		// tombstone), so compare labels for live nodes only.
-		if cold.HasNode(id) && cold.NodeLabel(id) != warm.NodeLabel(id) {
-			t.Fatalf("node %d label: cold %q, warm %q", v, cold.NodeLabel(id), warm.NodeLabel(id))
+		if loaded.NodeLabel(id) != built.NodeLabel(id) || loaded.NodeLabelSym(id) != built.NodeLabelSym(id) {
+			t.Fatalf("node %d label: loaded %q, built %q", v, loaded.NodeLabel(id), built.NodeLabel(id))
 		}
-		if cold.NodeLabelSym(id) != warm.NodeLabelSym(id) {
-			t.Fatalf("node %d label sym differs", v)
+		if lo, bo := loaded.OutEdgesRaw(id), built.OutEdgesRaw(id); !edgeListEqual(lo, bo) {
+			t.Fatalf("node %d out edges: loaded %v, built %v", v, lo, bo)
 		}
-		co, wo := cold.OutEdgesRaw(id), warm.OutEdgesRaw(id)
-		if !edgeListEqual(co, wo) {
-			t.Fatalf("node %d out edges: cold %v, warm %v", v, co, wo)
+		if li, bi := loaded.InEdgesRaw(id), built.InEdgesRaw(id); !edgeListEqual(li, bi) {
+			t.Fatalf("node %d in edges: loaded %v, built %v", v, li, bi)
+		}
+		if lp, bp := loaded.NodeProps(id), built.NodeProps(id); !propListEqual(lp, bp) {
+			t.Fatalf("node %d props: loaded %v, built %v", v, lp, bp)
 		}
 		for _, name := range []string{"name", "age", "tags", "matrix", "gap", "nope"} {
-			cv, cok := cold.NodeProp(id, name)
-			wv, wok := warm.NodeProp(id, name)
-			if cok != wok || (cok && !cv.Equal(wv)) {
-				t.Fatalf("node %d prop %q: cold (%v,%v), warm (%v,%v)", v, name, cv, cok, wv, wok)
+			lv, lok := loaded.NodeProp(id, name)
+			bv, bok := built.NodeProp(id, name)
+			if lok != bok || (lok && !lv.Equal(bv)) {
+				t.Fatalf("node %d prop %q: loaded (%v,%v), built (%v,%v)", v, name, lv, lok, bv, bok)
 			}
 		}
 	}
-	for e := 0; e < cold.EdgeBound(); e++ {
+	for e := 0; e < loaded.EdgeBound(); e++ {
 		id := EdgeID(e)
-		if cold.EdgeLabelSym(id) != warm.EdgeLabelSym(id) {
-			t.Fatalf("edge %d label sym differs", e)
+		if loaded.EdgeLabel(id) != built.EdgeLabel(id) || loaded.EdgeLabelSym(id) != built.EdgeLabelSym(id) {
+			t.Fatalf("edge %d label: loaded %q, built %q", e, loaded.EdgeLabel(id), built.EdgeLabel(id))
 		}
-		cs, cd := cold.Endpoints(id)
-		ws, wd := warm.Endpoints(id)
-		if cs != ws || cd != wd {
+		ls, ld := loaded.Endpoints(id)
+		bs, bd := built.Endpoints(id)
+		if ls != bs || ld != bd {
 			t.Fatalf("edge %d endpoints differ", e)
+		}
+		if lp, bp := loaded.EdgeProps(id), built.EdgeProps(id); !propListEqual(lp, bp) {
+			t.Fatalf("edge %d props: loaded %v, built %v", e, lp, bp)
 		}
 	}
 }
@@ -396,10 +392,10 @@ func FuzzOpenSnapshot(f *testing.F) {
 	})
 }
 
-// TestColdConcurrentInflation races cold-path readers against the
-// store inflation a concurrent store-shaped reader triggers, on a
-// mapped graph and on a streamed one; under -race this pins the atomic
-// cold-pointer handoff.
+// TestColdConcurrentInflation races point readers against Snapshot
+// folding a pending overlay, on a mapped graph and on a streamed one:
+// the fold only reads the graph, so under -race readers and folds may
+// overlap freely, and every fold agrees with a from-scratch rebuild.
 func TestColdConcurrentInflation(t *testing.T) {
 	g := richGraph(t)
 	path := writeSnapFile(t, g)
@@ -422,9 +418,12 @@ func TestColdConcurrentInflation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if mg.HasRowStore() {
-					t.Fatal("a loaded graph starts with a row store")
-				}
+				// Writes through the mutation API stay pending in the
+				// overlay until a Snapshot call folds them.
+				mg.SetNodeProp(0, "name", values.String("pending"))
+				fresh := mg.AddNode("Person")
+				mg.MustAddEdge(fresh, 0, "knows")
+				mg.RemoveEdge(0)
 				done := make(chan struct{})
 				for w := 0; w < 4; w++ {
 					go func() {
@@ -435,20 +434,27 @@ func TestColdConcurrentInflation(t *testing.T) {
 								_ = mg.NodeLabelSym(id)
 								_, _ = mg.NodeProp(id, "name")
 								_ = mg.OutEdgesRaw(id)
+								_ = mg.InEdgesRaw(id)
 							}
 							_ = mg.NumNodes()
 						}
 					}()
 				}
-				go func() {
-					defer func() { done <- struct{}{} }()
-					mg.Nodes() // forces inflation mid-flight
-				}()
-				for w := 0; w < 5; w++ {
+				folds := make(chan *Snapshot, 2)
+				for w := 0; w < 2; w++ {
+					go func() {
+						defer func() { done <- struct{}{} }()
+						folds <- mg.Snapshot()
+					}()
+				}
+				for w := 0; w < 6; w++ {
 					<-done
 				}
-				if mg.NumNodes() != g.NumNodes() {
-					t.Fatalf("post-inflation count %d, want %d", mg.NumNodes(), g.NumNodes())
+				for w := 0; w < 2; w++ {
+					snapEqual(t, <-folds, rebuilt(mg))
+				}
+				if got, _ := mg.NodeProp(0, "name"); !got.Equal(values.String("pending")) || mg.NumNodes() != g.NumNodes()+1 {
+					t.Fatalf("after the folds: name %v, %d nodes", got, mg.NumNodes())
 				}
 				mg.Close()
 			}

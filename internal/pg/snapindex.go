@@ -317,7 +317,7 @@ func (s *Snapshot) keyIndex(labels, props []Sym) *keyIndex {
 	return k
 }
 
-// patchIndexes returns the memo of s, the snapshot patchSnapshot
+// patchIndexes returns the memo of s, the snapshot the fold
 // derived from old under plan p. Nothing is rebuilt from scratch: the
 // label lists come forward with only the changed labels' lists
 // rewritten, and every built key index comes forward — untouched ones
@@ -494,16 +494,17 @@ func (k *keyIndex) patchedKey(old, s *Snapshot, dirty []NodeID) *keyIndex {
 }
 
 // VerifyIndexes checks the indexes built so far on the graph's cached
-// snapshot — patched forward by Apply or built on it — against a
-// from-scratch build of the graph: every label list, and every key
-// index's buckets and conflicts. It reports the first difference. It
-// costs a full snapshot build, so it is for tests and fuzz targets.
+// snapshot — patched forward by a fold or built on it — against a
+// from-scratch build over the same columns: every label list, and every
+// key index's buckets and conflicts. It reports the first difference. It
+// costs a full index build, so it is for tests and fuzz targets.
 func (g *Graph) VerifyIndexes() error {
 	s := g.snap.Load()
 	if s == nil || s.epoch != g.epoch {
 		return nil // no snapshot of the current state: nothing was patched
 	}
-	fresh := g.buildSnapshot()
+	fresh := *s
+	fresh.idx = newSnapIndexes()
 	x := s.idx
 	if x.enumDone.Load() {
 		for sym := range max(len(x.byLabel), len(fresh.symNames)) {
@@ -537,7 +538,7 @@ func (g *Graph) VerifyIndexes() error {
 				return fmt.Errorf("key index %v over %v: bucket %q = %v, want %v", k.labels, k.props, tuple, got, want)
 			}
 		}
-		got, wantC := k.conflictList(s), want.conflictList(fresh)
+		got, wantC := k.conflictList(s), want.conflictList(&fresh)
 		for i := range max(len(got), len(wantC)) {
 			if i >= len(got) || i >= len(wantC) || got[i].Tuple != wantC[i].Tuple || !slices.Equal(got[i].Nodes, wantC[i].Nodes) {
 				return fmt.Errorf("key index %v over %v: conflicts differ from position %d (%d conflicts, want %d)", k.labels, k.props, i, len(got), len(wantC))

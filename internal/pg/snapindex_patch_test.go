@@ -19,8 +19,7 @@ import (
 // (Graph.VerifyIndexes).
 
 // keyedLabels are the labels the key indexes of keyedGraph range over;
-// "Filler" nodes keep each delta far below patchSnapshot's give-up
-// fraction.
+// "Filler" nodes keep each delta a small fraction of the graph.
 var keyedLabels = []string{"A", "B", "C"}
 
 // keyValue draws a key value from a domain small enough that random

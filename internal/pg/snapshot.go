@@ -6,15 +6,17 @@ import "pgschema/internal/values"
 // for validation-scale scans: per-element label arrays, CSR-style
 // adjacency (live edges only, grouped per node in edge-id order),
 // flattened per-element property storage, and per-sym property-presence
-// bitsets. Hot loops index flat arrays instead of chasing node/edge
-// struct pointers through the mutable store, which keeps a full
-// node-or-edge pass inside a handful of contiguous allocations.
+// bitsets. Hot loops index flat arrays, which keeps a full node-or-edge
+// pass inside a handful of contiguous allocations. It is also the
+// graph's storage: a Graph is its base snapshot plus an overlay of
+// later writes.
 //
-// A Snapshot shares property values (immutable) with the graph but owns
-// every slice it exposes. It describes the graph exactly while
-// Graph.Epoch() == Epoch(); Graph.Snapshot caches the latest build, so
-// repeated validation of an unchanged graph reuses one snapshot and any
-// mutation invalidates it lazily on the next call.
+// A Snapshot shares property values (immutable) with the graph and with
+// the snapshots folded from it; no slice it exposes is ever written. It
+// describes the graph exactly while Graph.Epoch() == Epoch();
+// Graph.Snapshot caches the latest fold, so repeated validation of an
+// unchanged graph reuses one snapshot and any mutation invalidates it
+// lazily on the next call.
 type Snapshot struct {
 	epoch uint64
 
@@ -80,15 +82,16 @@ type Snapshot struct {
 	idx *snapIndexes
 }
 
-// Snapshot returns the columnar view of the graph at its current epoch,
-// rebuilding it only when a mutation has occurred since the last call.
-// Concurrent callers may race to rebuild; every built snapshot is valid
-// and the last store wins.
+// Snapshot returns the columnar view of the graph at its current epoch:
+// the base itself when nothing was written since it, else the fold of
+// the pending writes into it (computed once per epoch). Concurrent
+// callers may race to fold; every fold is valid and the last store
+// wins.
 func (g *Graph) Snapshot() *Snapshot {
 	if s := g.snap.Load(); s != nil && s.epoch == g.epoch {
 		return s
 	}
-	s := g.buildSnapshot()
+	s := g.fold()
 	g.snap.Store(s)
 	return s
 }
@@ -100,95 +103,6 @@ func (g *Graph) Snapshot() *Snapshot {
 func (g *Graph) cappedSymNames() []string {
 	n := len(g.syms.names)
 	return g.syms.names[:n:n]
-}
-
-func (g *Graph) buildSnapshot() *Snapshot {
-	g.ensureStore() // unreachable on a cold graph in practice, but safe
-	nn, ne := len(g.nodes), len(g.edges)
-	s := &Snapshot{
-		idx:         newSnapIndexes(),
-		epoch:       g.epoch,
-		liveNodes:   g.NumNodes(),
-		liveEdges:   g.NumEdges(),
-		symNames:    g.cappedSymNames(),
-		nodeLabels:  make([]Sym, nn),
-		edgeLabels:  make([]Sym, ne),
-		edgeSrc:     make([]NodeID, ne),
-		edgeDst:     make([]NodeID, ne),
-		outOff:      make([]uint32, nn+1),
-		inOff:       make([]uint32, nn+1),
-		nodePropOff: make([]uint32, nn+1),
-		edgePropOff: make([]uint32, ne+1),
-		nodePropSet: make([][]uint64, len(g.syms.names)),
-	}
-
-	for i := range g.edges {
-		e := &g.edges[i]
-		s.edgeSrc[i], s.edgeDst[i] = e.src, e.dst
-		if e.removed {
-			s.edgeLabels[i] = NoSym
-		} else {
-			s.edgeLabels[i] = e.label
-		}
-	}
-
-	live := g.NumEdges()
-	s.outEdges = make([]EdgeID, 0, live)
-	s.inEdges = make([]EdgeID, 0, live)
-	nProps := 0
-	for i := range g.nodes {
-		if !g.nodes[i].removed {
-			nProps += len(g.nodes[i].props)
-		}
-	}
-	s.nodeProps = make([]Prop, 0, nProps)
-	words := (nn + 63) / 64
-
-	for i := range g.nodes {
-		n := &g.nodes[i]
-		if n.removed {
-			s.nodeLabels[i] = NoSym
-		} else {
-			s.nodeLabels[i] = n.label
-			for _, e := range n.out {
-				if !g.edges[e].removed {
-					s.outEdges = append(s.outEdges, e)
-				}
-			}
-			for _, e := range n.in {
-				if !g.edges[e].removed {
-					s.inEdges = append(s.inEdges, e)
-				}
-			}
-			for _, p := range n.props {
-				s.nodeProps = append(s.nodeProps, p)
-				set := s.nodePropSet[p.Sym]
-				if set == nil {
-					set = make([]uint64, words)
-					s.nodePropSet[p.Sym] = set
-				}
-				set[i>>6] |= 1 << (uint(i) & 63)
-			}
-		}
-		s.outOff[i+1] = uint32(len(s.outEdges))
-		s.inOff[i+1] = uint32(len(s.inEdges))
-		s.nodePropOff[i+1] = uint32(len(s.nodeProps))
-	}
-
-	eProps := 0
-	for i := range g.edges {
-		if !g.edges[i].removed {
-			eProps += len(g.edges[i].props)
-		}
-	}
-	s.edgeProps = make([]Prop, 0, eProps)
-	for i := range g.edges {
-		if !g.edges[i].removed {
-			s.edgeProps = append(s.edgeProps, g.edges[i].props...)
-		}
-		s.edgePropOff[i+1] = uint32(len(s.edgeProps))
-	}
-	return s
 }
 
 // Epoch returns the graph epoch the snapshot was built at.

@@ -1,20 +1,27 @@
 package pg
 
-import "pgschema/internal/values"
+import (
+	"maps"
+	"slices"
 
-// Snapshot patching: Apply knows exactly which elements a delta
-// touched, so instead of paying the O(V+E) columnar rebuild on the
-// next Snapshot() call, it derives the new snapshot from the old one.
-// Columns a delta did not touch are shared outright (slice aliasing is
-// safe — snapshots are immutable); touched columns are rebuilt with
-// bulk segment copies between dirty elements, so the cost is memcpy
-// bandwidth plus O(dirty) row rebuilds rather than a per-element walk
-// of the mutable store.
+	"pgschema/internal/values"
+)
 
-// patchPlan describes what an applied delta changed, at the
-// granularity the patch needs: sorted dirty element lists (nodeDirty
-// includes the endpoints of dirty edges — their adjacency rows moved)
-// and one flag per snapshot column group.
+// The fold: Snapshot derives the snapshot of the graph's current state
+// from its base and the overlay of writes made since. The overlay names
+// exactly the rows that changed, so columns no write touched are shared
+// outright (slice aliasing is safe — snapshots are immutable) and
+// touched columns are rebuilt with bulk segment copies between dirty
+// rows: the cost is memcpy bandwidth plus O(dirty) row rebuilds. A graph
+// built through the mutation API folds onto an empty base, where every
+// row is appended. The fold only reads the graph, so concurrent readers
+// may run it.
+
+// patchPlan describes what the overlay changed, at the granularity the
+// fold needs: sorted dirty element lists (nodeDirty includes the
+// endpoints of dirty edges — their adjacency rows moved — and both
+// lists end with every appended element) and one flag per snapshot
+// column group.
 type patchPlan struct {
 	nodeDirty []NodeID
 	edgeDirty []EdgeID
@@ -22,6 +29,9 @@ type patchPlan struct {
 	// or properties changed: the key indexes over them are patched, all
 	// others carried over as they are.
 	touchedLabels map[Sym]struct{}
+	// nodePropRows and edgePropRows are the lengths of the folded
+	// property columns.
+	nodePropRows, edgePropRows int
 
 	nodeLabelsChanged    bool
 	nodeAdjChanged       bool
@@ -31,47 +41,126 @@ type patchPlan struct {
 	edgePropsChanged     bool
 }
 
-// patchFraction caps how much a patch may cover before it loses to a
-// plain rebuild: a delta dirtying more than 1/8 of all elements gives
-// up on the snapshot, and a key index whose overrides outgrow 1/8 of
-// its base's buckets folds (the next reader rebuilds it).
+// patchFraction caps how far a patched key index may drift from its
+// from-scratch base: one whose overrides outgrow 1/8 of the base's
+// buckets folds (the next reader rebuilds it).
 const patchFraction = 8
 
-// patchSnapshot builds the snapshot of the graph's current state from
-// a snapshot of the pre-apply state. It returns nil when patching is
-// not worthwhile (too many dirty elements relative to the graph); the
-// caller then leaves the stale snapshot in place and the next
-// Snapshot() call does a full rebuild.
-func (g *Graph) patchSnapshot(old *Snapshot, p patchPlan) *Snapshot {
-	nn, ne := len(g.nodes), len(g.edges)
-	if (len(p.nodeDirty)+len(p.edgeDirty))*patchFraction > nn+ne {
-		return nil
+// plan derives the fold's inputs from the overlay over base.
+func (ov *overlay) plan(base *Snapshot) patchPlan {
+	p := patchPlan{
+		touchedLabels:        maps.Clone(ov.labels),
+		nodePropRows:         int(base.nodePropOff[ov.nodeBase]),
+		edgePropRows:         int(base.edgePropOff[ov.edgeBase]),
+		nodeLabelsChanged:    ov.nodesAdded || ov.nodesRelabeled || ov.nodesRemoved,
+		nodeAdjChanged:       ov.nodesAdded || ov.edgesAdded || ov.edgesRemoved,
+		nodePropsChanged:     ov.nodesAdded || ov.nodePropOps,
+		edgeLabelsChanged:    ov.edgesAdded || ov.edgesRemoved || ov.edgesRelabeled,
+		edgeEndpointsChanged: ov.edgesAdded,
+		edgePropsChanged:     ov.edgesAdded || ov.edgePropOps,
 	}
-	oldNN := len(old.nodeLabels)
+	nodeSet := make(map[NodeID]struct{}, len(ov.nodes)+2*len(ov.edges))
+	for v, r := range ov.nodes {
+		nodeSet[v] = struct{}{}
+		p.nodePropRows += len(r.props) - base.NodePropCount(v)
+		if r.touched && r.label != NoSym {
+			p.touchedLabels[r.label] = struct{}{}
+		}
+	}
+	p.edgeDirty = make([]EdgeID, 0, len(ov.edges)+len(ov.newEdges))
+	for e, r := range ov.edges {
+		nodeSet[r.src] = struct{}{}
+		nodeSet[r.dst] = struct{}{}
+		lo, hi := base.EdgePropRow(e)
+		p.edgePropRows += len(r.props) - (hi - lo)
+		p.edgeDirty = append(p.edgeDirty, e)
+	}
+	slices.Sort(p.edgeDirty)
+	p.nodeDirty = make([]NodeID, 0, len(nodeSet)+len(ov.newNodes))
+	for v := range nodeSet {
+		p.nodeDirty = append(p.nodeDirty, v)
+	}
+	slices.Sort(p.nodeDirty)
+	for i := range ov.newNodes {
+		p.nodeDirty = append(p.nodeDirty, NodeID(ov.nodeBase+i))
+		p.nodePropRows += len(ov.newNodes[i].props)
+		if ls := ov.newNodes[i].label; ls != NoSym {
+			p.touchedLabels[ls] = struct{}{}
+		}
+	}
+	for i := range ov.newEdges {
+		p.edgeDirty = append(p.edgeDirty, EdgeID(ov.edgeBase+i))
+		p.edgePropRows += len(ov.newEdges[i].props)
+	}
+	return p
+}
 
+// fold returns the snapshot of the graph's current state: its base with
+// the pending overlay folded in. It always succeeds: a record-backed
+// base whose overflow arena has outgrown usefulness after many
+// generations — or that meets a value the record form cannot encode —
+// re-bases onto heap property columns first.
+func (g *Graph) fold() *Snapshot {
+	base, ov := g.base, g.ov
+	if ov == nil {
+		ov = newOverlay(base) // an epoch bump with no write: share every column
+	}
+	p := ov.plan(base)
+	if base.recBacked && (p.nodePropsChanged || p.edgePropsChanged) &&
+		len(base.propOver) > 1<<20 && len(base.propOver) > len(base.propArena)/4 {
+		base = base.onHeap()
+	}
+	if s := g.patch(base, ov, &p); s != nil {
+		return s
+	}
+	return g.patch(base.onHeap(), ov, &p)
+}
+
+// onHeap returns s with its property rows read into heap columns
+// through NodePropAt/EdgePropAt; every other column is shared.
+func (s *Snapshot) onHeap() *Snapshot {
+	if !s.recBacked {
+		return s
+	}
+	h := *s
+	h.recBacked = false
+	h.nodeProps = make([]Prop, len(s.nodePropRecs))
+	for i := range h.nodeProps {
+		h.nodeProps[i] = s.NodePropAt(i)
+	}
+	h.edgeProps = make([]Prop, len(s.edgePropRecs))
+	for i := range h.edgeProps {
+		h.edgeProps[i] = s.EdgePropAt(i)
+	}
+	h.nodePropRecs, h.edgePropRecs = nil, nil
+	h.propArena, h.propOver, h.propLists = nil, nil, nil
+	return &h
+}
+
+// patch builds the folded snapshot from old under plan p, reading dirty
+// rows through the graph's point readers (overlay first, then base). It
+// returns nil only when a record-backed old meets a value the record
+// form cannot encode.
+func (g *Graph) patch(old *Snapshot, ov *overlay, p *patchPlan) *Snapshot {
+	nn, ne := ov.nodeBase+len(ov.newNodes), ov.edgeBase+len(ov.newEdges)
 	s := &Snapshot{
 		epoch:     g.epoch,
-		liveNodes: g.NumNodes(),
-		liveEdges: g.NumEdges(),
+		liveNodes: ov.liveNodes,
+		liveEdges: ov.liveEdges,
 		symNames:  g.cappedSymNames(),
+		mapping:   old.mapping,
 	}
 	if old.recBacked {
-		// Patching a mapped snapshot keeps the record representation:
-		// clean rows stay aliased to the mapping, dirty rows re-encode
-		// into a private overflow arena (copied fresh per patch so the
-		// old snapshot, which Undo may retain, stays immutable).
+		// Folding onto a mapped snapshot keeps the record
+		// representation: clean rows stay aliased to the mapping, dirty
+		// rows re-encode into a private overflow arena (copied fresh per
+		// fold so the old snapshot, which Undo may retain, stays
+		// immutable).
 		s.recBacked = true
 		s.propArena = old.propArena
 		s.propOver = old.propOver
 		s.propLists = old.propLists
-		s.mapping = old.mapping
 		if p.nodePropsChanged || p.edgePropsChanged {
-			if len(old.propOver) > 1<<20 && len(old.propOver) > len(old.propArena)/4 {
-				// The overflow arena has outgrown usefulness after many
-				// patch generations; a full rebuild re-bases onto a
-				// compact heap snapshot.
-				return nil
-			}
 			over := make([]byte, len(old.propOver), len(old.propOver)+4096)
 			copy(over, old.propOver)
 			s.propOver = over
@@ -79,129 +168,87 @@ func (g *Graph) patchSnapshot(old *Snapshot, p patchPlan) *Snapshot {
 		}
 	}
 
+	s.nodeLabels = old.nodeLabels
 	if p.nodeLabelsChanged {
 		s.nodeLabels = make([]Sym, nn)
 		copy(s.nodeLabels, old.nodeLabels)
 		for _, v := range p.nodeDirty {
-			if g.nodes[v].removed {
-				s.nodeLabels[v] = NoSym
-			} else {
-				s.nodeLabels[v] = g.nodes[v].label
-			}
+			s.nodeLabels[v] = g.NodeLabelSym(v)
 		}
-	} else {
-		s.nodeLabels = old.nodeLabels
 	}
 
+	s.edgeLabels = old.edgeLabels
 	if p.edgeLabelsChanged || p.edgeEndpointsChanged {
 		s.edgeLabels = make([]Sym, ne)
 		copy(s.edgeLabels, old.edgeLabels)
 		for _, e := range p.edgeDirty {
-			if g.edges[e].removed {
-				s.edgeLabels[e] = NoSym
-			} else {
-				s.edgeLabels[e] = g.edges[e].label
-			}
+			s.edgeLabels[e] = g.EdgeLabelSym(e)
 		}
-	} else {
-		s.edgeLabels = old.edgeLabels
 	}
 
+	s.edgeSrc, s.edgeDst = old.edgeSrc, old.edgeDst
 	if p.edgeEndpointsChanged {
 		s.edgeSrc = make([]NodeID, ne)
 		copy(s.edgeSrc, old.edgeSrc)
 		s.edgeDst = make([]NodeID, ne)
 		copy(s.edgeDst, old.edgeDst)
 		for _, e := range p.edgeDirty {
-			s.edgeSrc[e], s.edgeDst[e] = g.edges[e].src, g.edges[e].dst
+			s.edgeSrc[e], s.edgeDst[e] = g.Endpoints(e)
 		}
-	} else {
-		s.edgeSrc, s.edgeDst = old.edgeSrc, old.edgeDst
 	}
 
+	s.outOff, s.outEdges = old.outOff, old.outEdges
+	s.inOff, s.inEdges = old.inOff, old.inEdges
 	if p.nodeAdjChanged {
-		liveAdj := func(raw func(*node) []EdgeID) func(int, []EdgeID) []EdgeID {
-			return func(v int, list []EdgeID) []EdgeID {
-				if n := &g.nodes[v]; !n.removed {
-					for _, e := range raw(n) {
-						if !g.edges[e].removed {
-							list = append(list, e)
-						}
-					}
-				}
-				return list
-			}
-		}
-		s.outOff, s.outEdges = patchRows(old.outOff, old.outEdges, p.nodeDirty, nn, 4,
-			liveAdj(func(n *node) []EdgeID { return n.out }))
-		s.inOff, s.inEdges = patchRows(old.inOff, old.inEdges, p.nodeDirty, nn, 4,
-			liveAdj(func(n *node) []EdgeID { return n.in }))
-	} else {
-		s.outOff, s.outEdges = old.outOff, old.outEdges
-		s.inOff, s.inEdges = old.inOff, old.inEdges
+		s.outOff, s.outEdges = patchRows(old.outOff, old.outEdges, p.nodeDirty, nn, ov.liveEdges,
+			func(v int, list []EdgeID) []EdgeID { return append(list, g.OutEdgesRaw(NodeID(v))...) })
+		s.inOff, s.inEdges = patchRows(old.inOff, old.inEdges, p.nodeDirty, nn, ov.liveEdges,
+			func(v int, list []EdgeID) []EdgeID { return append(list, g.InEdgesRaw(NodeID(v))...) })
 	}
 
-	// A dirty element's property row is its store row, or empty once
-	// it is removed.
-	nodeRow := func(v int) []Prop {
-		if n := &g.nodes[v]; !n.removed {
-			return n.props
-		}
-		return nil
-	}
-	edgeRow := func(e int) []Prop {
-		if ed := &g.edges[e]; !ed.removed {
-			return ed.props
-		}
-		return nil
-	}
+	nodeRow := func(v int) []Prop { return g.NodeProps(NodeID(v)) }
+	edgeRow := func(e int) []Prop { return g.EdgeProps(EdgeID(e)) }
 
+	s.nodePropOff, s.nodeProps, s.nodePropRecs = old.nodePropOff, old.nodeProps, old.nodePropRecs
+	s.nodePropSet = old.nodePropSet
 	if p.nodePropsChanged {
 		if old.recBacked {
 			var ok bool
-			s.nodePropOff, s.nodePropRecs, ok = patchRecs(s, old.nodePropOff, old.nodePropRecs, p.nodeDirty, nn, nodeRow)
-			if !ok {
+			if s.nodePropOff, s.nodePropRecs, ok = patchRecs(s, old.nodePropOff, old.nodePropRecs, p.nodeDirty, nn, p.nodePropRows, nodeRow); !ok {
 				return nil
 			}
 		} else {
-			s.nodePropOff, s.nodeProps = patchRows(old.nodePropOff, old.nodeProps, p.nodeDirty, nn, 2, appendRow(nodeRow))
+			s.nodePropOff, s.nodeProps = patchRows(old.nodePropOff, old.nodeProps, p.nodeDirty, nn, p.nodePropRows, appendRow(nodeRow))
 		}
-		s.nodePropSet = g.patchPropSets(old.nodePropSet, p.nodeDirty, oldNN)
-	} else {
-		s.nodePropOff, s.nodeProps = old.nodePropOff, old.nodeProps
-		s.nodePropRecs = old.nodePropRecs
-		s.nodePropSet = old.nodePropSet
+		s.nodePropSet = g.patchPropSets(old.nodePropSet, p.nodeDirty, len(old.nodeLabels), nn)
 	}
 
+	s.edgePropOff, s.edgeProps, s.edgePropRecs = old.edgePropOff, old.edgeProps, old.edgePropRecs
 	if p.edgePropsChanged {
 		if old.recBacked {
 			var ok bool
-			s.edgePropOff, s.edgePropRecs, ok = patchRecs(s, old.edgePropOff, old.edgePropRecs, p.edgeDirty, ne, edgeRow)
-			if !ok {
+			if s.edgePropOff, s.edgePropRecs, ok = patchRecs(s, old.edgePropOff, old.edgePropRecs, p.edgeDirty, ne, p.edgePropRows, edgeRow); !ok {
 				return nil
 			}
 		} else {
-			s.edgePropOff, s.edgeProps = patchRows(old.edgePropOff, old.edgeProps, p.edgeDirty, ne, 2, appendRow(edgeRow))
+			s.edgePropOff, s.edgeProps = patchRows(old.edgePropOff, old.edgeProps, p.edgeDirty, ne, p.edgePropRows, appendRow(edgeRow))
 		}
-	} else {
-		s.edgePropOff, s.edgeProps = old.edgePropOff, old.edgeProps
-		s.edgePropRecs = old.edgePropRecs
 	}
 
-	s.idx = old.idx.patchIndexes(old, s, &p)
+	s.idx = old.idx.patchIndexes(old, s, p)
 	return s
 }
 
 // patchRows rebuilds one flattened column — per-element offsets over a
-// flat row array — for a new bound of n elements. Rows of clean
-// pre-existing elements are copied in bulk segments between dirty ones
-// (their contents are unchanged); rebuild appends the current row of a
-// dirty element, or of one past the old bound, and returns the grown
-// array. extra reserves room for that many rows per dirty element.
-func patchRows[T any, ID ~int](oldOff []uint32, oldRows []T, dirty []ID, n, extra int, rebuild func(i int, rows []T) []T) ([]uint32, []T) {
+// flat row array of size rows in all — for a new bound of n elements.
+// Rows of clean pre-existing elements are copied in bulk segments
+// between dirty ones (their contents are unchanged); rebuild appends
+// the current row of a dirty element, or of one past the old bound,
+// and returns the grown array.
+func patchRows[T any, ID ~int](oldOff []uint32, oldRows []T, dirty []ID, n, size int, rebuild func(i int, rows []T) []T) ([]uint32, []T) {
 	oldN := len(oldOff) - 1
 	off := make([]uint32, n+1)
-	rows := make([]T, 0, len(oldRows)+extra*len(dirty))
+	rows := make([]T, 0, size)
 
 	put := func(i int) {
 		rows = rebuild(i, rows)
@@ -247,14 +294,13 @@ func appendRow(row func(int) []Prop) func(int, []Prop) []Prop {
 
 // patchRecs is patchRows over a record-backed property column: clean
 // record rows are bulk-copied (their arena-0 payloads stay valid —
-// they point into the shared mapped arena), dirty rows re-encode from
-// the store into the patched snapshot's private overflow arena and list
-// table. Returns ok=false when a value cannot be encoded; the caller
-// then falls back to a full rebuild.
-func patchRecs[ID ~int](s *Snapshot, oldOff []uint32, oldRecs []propRec, dirty []ID, n int, row func(int) []Prop) ([]uint32, []propRec, bool) {
+// they point into the shared mapped arena), dirty rows re-encode into
+// the folded snapshot's private overflow arena and list table. Returns
+// ok=false when a value cannot be encoded.
+func patchRecs[ID ~int](s *Snapshot, oldOff []uint32, oldRecs []propRec, dirty []ID, n, size int, row func(int) []Prop) ([]uint32, []propRec, bool) {
 	enc := recEncoder{arenaID: 1, arena: s.propOver, lists: s.propLists}
 	encOK := true
-	off, recs := patchRows(oldOff, oldRecs, dirty, n, 2, func(i int, recs []propRec) []propRec {
+	off, recs := patchRows(oldOff, oldRecs, dirty, n, size, func(i int, recs []propRec) []propRec {
 		enc.recs = recs
 		if err := enc.addAll(row(i)); err != nil {
 			encOK = false
@@ -268,11 +314,10 @@ func patchRecs[ID ~int](s *Snapshot, oldOff []uint32, oldRecs []propRec, dirty [
 
 // patchPropSets re-derives the per-sym property presence bitsets: copy
 // every old set into word arrays sized for the new node bound, clear
-// the dirty nodes' bits everywhere, then re-set bits from the dirty
-// live nodes' current property lists. Syms interned since the old
-// snapshot get entries lazily, exactly like a full build.
-func (g *Graph) patchPropSets(old [][]uint64, dirty []NodeID, oldNN int) [][]uint64 {
-	nn := len(g.nodes)
+// the dirty pre-existing nodes' bits everywhere, then re-set bits from
+// the dirty live nodes' current property lists. Syms interned since the
+// old snapshot get entries lazily, exactly like a fresh build.
+func (g *Graph) patchPropSets(old [][]uint64, dirty []NodeID, oldNN, nn int) [][]uint64 {
 	words := (nn + 63) / 64
 	sets := make([][]uint64, len(g.syms.names))
 	for sym, set := range old {
@@ -284,6 +329,9 @@ func (g *Graph) patchPropSets(old [][]uint64, dirty []NodeID, oldNN int) [][]uin
 		sets[sym] = ns
 	}
 	for _, d := range dirty {
+		if int(d) >= oldNN {
+			break // appended nodes start with no bits
+		}
 		w, bit := int(d)>>6, uint64(1)<<(uint(d)&63)
 		for _, set := range sets {
 			if set != nil {
@@ -292,17 +340,15 @@ func (g *Graph) patchPropSets(old [][]uint64, dirty []NodeID, oldNN int) [][]uin
 		}
 	}
 	for _, d := range dirty {
-		n := &g.nodes[d]
-		if n.removed {
+		if g.NodeLabelSym(d) == NoSym {
 			continue
 		}
 		w, bit := int(d)>>6, uint64(1)<<(uint(d)&63)
-		for i := range n.props {
-			sym := n.props[i].Sym
-			set := sets[sym]
+		for _, p := range g.NodeProps(d) {
+			set := sets[p.Sym]
 			if set == nil {
 				set = make([]uint64, words)
-				sets[sym] = set
+				sets[p.Sym] = set
 			}
 			set[w] |= bit
 		}

@@ -6,11 +6,10 @@ import (
 	"pgschema/internal/values"
 )
 
-// TestPatchGivesUpOnLargeDelta: when the dirty region is a large
-// fraction of the graph, patching is a net loss and Apply must leave
-// the cache stale (next Snapshot() call does a full rebuild) rather
-// than installing a patched copy.
-func TestPatchGivesUpOnLargeDelta(t *testing.T) {
+// TestFoldLargeDelta: a delta dirtying every element still folds —
+// Apply installs the folded snapshot at the new epoch, and it agrees
+// with a from-scratch rebuild.
+func TestFoldLargeDelta(t *testing.T) {
 	g := New()
 	for i := 0; i < 10; i++ {
 		g.AddNode("Author")
@@ -25,10 +24,11 @@ func TestPatchGivesUpOnLargeDelta(t *testing.T) {
 	if _, err := g.Apply(d); err != nil {
 		t.Fatal(err)
 	}
-	if s := g.snap.Load(); s != nil && s.Epoch() == g.Epoch() {
-		t.Fatal("expected the patcher to give up on a near-total delta")
+	s := g.snap.Load()
+	if s == nil || s.Epoch() != g.Epoch() {
+		t.Fatal("Apply left no folded snapshot of a near-total delta")
 	}
-	snapEqual(t, g.Snapshot(), g.buildSnapshot())
+	snapEqual(t, s, rebuilt(g))
 }
 
 // TestPatchSharesUntouchedColumns: a props-only delta must not rebuild
@@ -60,5 +60,5 @@ func TestPatchSharesUntouchedColumns(t *testing.T) {
 	if &s.edgeSrc[0] != &old.edgeSrc[0] {
 		t.Error("edge endpoint column should be shared")
 	}
-	snapEqual(t, s, g.buildSnapshot())
+	snapEqual(t, s, rebuilt(g))
 }

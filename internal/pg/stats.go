@@ -32,7 +32,7 @@ func (g *Graph) ComputeStats() Stats {
 	}
 	for _, id := range g.Nodes() {
 		st.NodesByLabel[g.NodeLabel(id)]++
-		st.NodeProps += len(g.nodes[id].props)
+		st.NodeProps += len(g.NodeProps(id))
 		outDeg := len(g.OutEdges(id))
 		inDeg := len(g.InEdges(id))
 		if outDeg > st.MaxOutDegree {
@@ -48,7 +48,7 @@ func (g *Graph) ComputeStats() Stats {
 	seen := make(map[string]int)
 	for _, id := range g.Edges() {
 		st.EdgesByLabel[g.EdgeLabel(id)]++
-		st.EdgeProps += len(g.edges[id].props)
+		st.EdgeProps += len(g.EdgeProps(id))
 		src, dst := g.Endpoints(id)
 		if src == dst {
 			st.SelfLoops++

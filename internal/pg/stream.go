@@ -24,10 +24,9 @@ import (
 // The loader builds the columnar form directly: rows append into flat
 // label and property columns, adjacency is finished as CSR by a
 // counting sort over the edge columns, and the sealed graph is that
-// snapshot until its first write, exactly like a graph OpenSnapshot
-// returns (see cold.go). Validation and queries after a streamed load
-// therefore read sealed columns and never pay for a row store, and the
-// load itself skips the per-node slice growth of the mutation path.
+// snapshot, exactly like a graph OpenSnapshot returns. Validation and
+// queries after a streamed load therefore read the sealed columns, and
+// the load itself skips the per-node slice growth of the mutation path.
 // Parsing is pipelined across workers when GOMAXPROCS allows
 // (readCSVRecords).
 //
@@ -708,11 +707,10 @@ func (b *streamEdgeBatch) setErr(i int, err error) {
 }
 
 // seal finishes the columns into a loaded graph (newLoadedGraph): the
-// sealed snapshot and no row store, as OpenSnapshot returns. The CSR
-// adjacency comes from a counting sort over the edge columns
-// (prefix-summed degrees, then a fill in ascending edge-id order, which
-// is exactly the order buildSnapshot produces). The snapshot takes
-// ownership of the builder's columns.
+// sealed snapshot, as OpenSnapshot returns. The CSR adjacency comes
+// from a counting sort over the edge columns (prefix-summed degrees,
+// then a fill in ascending edge-id order, the order every snapshot
+// keeps). The snapshot takes ownership of the builder's columns.
 func (sb *streamBuilder) seal() *Graph {
 	nn, ne := len(sb.nodeLabels), len(sb.edgeLabels)
 	if sb.outDeg == nil {

@@ -519,10 +519,11 @@ type ReplayInfo struct {
 // as is a record whose before-epoch is not the epoch replay has
 // reached.
 //
-// Records are applied to the graph's store without patching its
-// snapshot; one patch of the opened snapshot at the end covers them
-// all, so replay costs one pass over the columns however many records
-// there are.
+// Records are applied into one overlay over the opened snapshot and
+// folded once at the end, so replay costs one pass over the columns
+// however many records there are. A record the server undid (an apply
+// rolled back by requireValid) is applied on a folded base and undone
+// again, as it was when it was served.
 func ReplayLog(snapPath, logPath string) (*Graph, ReplayInfo, error) {
 	var info ReplayInfo
 	g, err := OpenSnapshot(snapPath)
@@ -558,8 +559,6 @@ func (g *Graph) replay(data []byte, info *ReplayInfo) error {
 		info.Stale = true
 		return nil
 	}
-	base := g.snap.Load()
-	changes := newChangeSet()
 	off := logHeaderSize
 	for off < len(data) {
 		rec, end, err := parseLogRecord(data, off)
@@ -578,11 +577,13 @@ func (g *Graph) replay(data []byte, info *ReplayInfo) error {
 			return fmt.Errorf("record %d at offset %d: written at epoch %d, but replay has reached epoch %d",
 				info.Records, off, rec.Before, g.epoch)
 		}
-		u, st, err := g.apply(rec.Delta) // no per-record patch; see below
+		if rec.Undone {
+			g.settle() // Undo re-installs the snapshot the apply started from
+		}
+		u, err := g.apply(rec.Delta) // no per-record fold; see below
 		if err != nil {
 			return fmt.Errorf("record %d at offset %d: %v", info.Records, off, err)
 		}
-		changes.merge(&st.changeSet)
 		if rec.Undone {
 			if err := u.Undo(); err != nil {
 				return fmt.Errorf("record %d at offset %d: %v", info.Records, off, err)
@@ -596,13 +597,7 @@ func (g *Graph) replay(data []byte, info *ReplayInfo) error {
 		off = end
 	}
 	info.LogSize = int64(off)
-	if info.Records > 0 {
-		// One patch of the opened snapshot covers every record: its
-		// clean rows are still the graph's.
-		if s := g.patchSnapshot(base, changes.patchPlan(g)); s != nil {
-			g.snap.Store(s)
-		}
-	}
+	g.settle() // one fold covers every record since the last undone one
 	return nil
 }
 

@@ -21,7 +21,7 @@ import (
 func canonicalBytes(t testing.TB, g *Graph) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, g.buildSnapshot()); err != nil {
+	if err := WriteSnapshot(&buf, rebuilt(g)); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	return buf.Bytes()
@@ -232,7 +232,7 @@ func (w *walRun) replayState(t *testing.T, logData []byte) ([]byte, uint64, Repl
 	}
 	defer g.Close()
 	// The one patch replay installs must agree with a full rebuild.
-	snapEqual(t, g.Snapshot(), g.buildSnapshot())
+	snapEqual(t, g.Snapshot(), rebuilt(g))
 	return canonicalBytes(t, g), g.Epoch(), info, nil
 }
 
@@ -522,13 +522,13 @@ func FuzzReplayLog(f *testing.F) {
 		if err := g.replay(append(append([]byte(nil), header...), tail...), &info); err != nil {
 			return
 		}
-		snapEqual(t, g.Snapshot(), g.buildSnapshot())
+		snapEqual(t, g.Snapshot(), rebuilt(g))
 	})
 }
 
 // BenchmarkReplayLog replays logs of small deltas over a ~10⁵-element
 // snapshot. ns/record stays flat as the record count grows: records
-// apply to the store and one patch at the end covers them all.
+// apply into one overlay and one fold at the end covers them all.
 func BenchmarkReplayLog(b *testing.B) {
 	const authors = 25_000 // ~10⁵ elements: authors, books, two edges each
 	g := New()
@@ -564,7 +564,7 @@ func BenchmarkReplayLog(b *testing.B) {
 			d.AddEdges = []AddEdgeSpec{{Src: NewNodeRef(0), Dst: books[rnd.Intn(len(books))], Label: "favoriteBook"}}
 		}
 		before := g.Epoch()
-		if _, _, err := g.apply(d); err != nil {
+		if _, err := g.apply(d); err != nil {
 			b.Fatal(err)
 		}
 		logData = appendLogRecord(logData, &LogRecord{Before: before, After: g.Epoch(), Delta: d})

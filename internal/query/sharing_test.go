@@ -20,7 +20,7 @@ import (
 // other plan already indexed pays no per-graph-size work, and that the
 // shared indexes answer exactly like the interpretive engine across
 // every way a snapshot is born — rebuild, Apply's patch, Undo's
-// re-stamp, a mapped .pgsnap and its inflation — and under concurrent
+// re-stamp, a mapped .pgsnap and a write to it — and under concurrent
 // first use.
 
 // humansGraph is a graph of n Humans keyed "h0".."h<n-1>", each a
@@ -85,7 +85,7 @@ func TestLookupColdPlanAllocsFlat(t *testing.T) {
 // TestLookupAcrossSnapshotLifecycle runs one cached lookup chain plus a
 // fresh plan per step through Apply (patched snapshot), Undo (the
 // re-stamped pre-apply snapshot), a mapped .pgsnap graph, and that
-// graph inflated by a mutation; every answer must be the interpretive
+// graph after a mutation; every answer must be the interpretive
 // engine's.
 func TestLookupAcrossSnapshotLifecycle(t *testing.T) {
 	s := build(t, starWarsSchema)
@@ -139,8 +139,8 @@ func TestLookupAcrossSnapshotLifecycle(t *testing.T) {
 	}
 	defer mg.Close()
 	check(mg, "mapped")
-	mg.SetNodeProp(9, "id", values.ID("h3")) // inflates the store; h3 is now ambiguous
-	check(mg, "inflated")
+	mg.SetNodeProp(9, "id", values.ID("h3")) // a pending overlay write; h3 is now ambiguous
+	check(mg, "written")
 }
 
 // TestLookupConcurrentFirstUse: eight goroutines each run a distinct

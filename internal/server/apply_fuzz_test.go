@@ -155,7 +155,7 @@ func newFuzzRevalidateHandler(t testing.TB) (*Handler, *pg.Graph) {
 // FuzzRevalidateBody posts arbitrary bytes to /revalidate on a
 // CSV-loaded keyed tenant a full strong validation has seeded. No body
 // may panic the handler or earn a 5xx, and revalidation only reads: the
-// tenant's graph is still its snapshot afterwards, with no row store.
+// tenant's graph keeps its epoch and the very snapshot it answered from.
 func FuzzRevalidateBody(f *testing.F) {
 	for _, body := range []string{
 		`{"nodes": [0, 1]}`,
@@ -180,12 +180,13 @@ func FuzzRevalidateBody(f *testing.F) {
 		if rec := doRaw(t, mux, "POST", "/validate", ""); rec.Code != http.StatusOK {
 			t.Fatalf("validate: %d %s", rec.Code, rec.Body.String())
 		}
+		snap, epoch := g.Snapshot(), g.Epoch()
 		rec := doRaw(t, mux, "POST", "/revalidate", body)
 		if rec.Code >= 500 {
 			t.Fatalf("revalidate %q: %d %s", body, rec.Code, rec.Body.String())
 		}
-		if g.HasRowStore() {
-			t.Fatalf("revalidate %q (%d) inflated the tenant's row store", body, rec.Code)
+		if g.Snapshot() != snap || g.Epoch() != epoch {
+			t.Fatalf("revalidate %q (%d) moved the tenant's graph off its snapshot", body, rec.Code)
 		}
 	})
 }

@@ -13,16 +13,33 @@ import (
 	"pgschema/internal/pg"
 )
 
-// canonicalGraph is the .pgsnap image of a heap rebuild of g: equal for
-// two graphs with the same content, symbols and epoch, whether each is
-// mapped, patched or replayed.
+// canonicalGraph renders g's epoch, symbols and every element id —
+// tombstones included — with its label, endpoints or adjacency, and
+// properties: equal for two graphs with the same content, symbols and
+// epoch, whether each is mapped, folded or replayed.
 func canonicalGraph(t *testing.T, g *pg.Graph) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := pg.WriteSnapshot(&buf, g.Clone().Snapshot()); err != nil {
-		t.Fatal(err)
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "epoch %d\n", g.Epoch())
+	for s := 0; s < g.SymCount(); s++ {
+		fmt.Fprintf(&b, "sym %d %q\n", s, g.SymName(pg.Sym(s)))
 	}
-	return buf.Bytes()
+	props := func(ps []pg.Prop) {
+		for _, p := range ps {
+			fmt.Fprintf(&b, " %q=%d:%q", p.Name, p.Value.Kind(), p.Value.Key())
+		}
+		b.WriteByte('\n')
+	}
+	for v := range pg.NodeID(g.NodeBound()) {
+		fmt.Fprintf(&b, "node %d %q out %v in %v", v, g.NodeLabel(v), g.OutEdgesRaw(v), g.InEdgesRaw(v))
+		props(g.NodeProps(v))
+	}
+	for e := range pg.EdgeID(g.EdgeBound()) {
+		src, dst := g.Endpoints(e)
+		fmt.Fprintf(&b, "edge %d %q %d->%d", e, g.EdgeLabel(e), src, dst)
+		props(g.EdgeProps(e))
+	}
+	return b.Bytes()
 }
 
 // residentGraph returns the named tenant's graph, reloading it if it

@@ -110,16 +110,15 @@ func regionOf(g *pg.Graph, delta Delta) deltaRegion {
 		if int(n) >= nb {
 			continue
 		}
-		// Labels whose key conflicts may have shifted. Removed nodes
-		// still expose their former label, so they contribute too.
+		// Labels whose key conflicts may have shifted. A removed node
+		// answers "" here; its former label reaches the region through
+		// delta.Labels (an apply's Touched.Labels carries it).
 		reg.affected[g.NodeLabel(n)] = true
 		// A node's label and existence feed into the edge-scoped rules
 		// of every incident edge (WS2/WS3/SS3/SS4 key off λ(v1) and
-		// λ(v2)), so incident edges join the region. The raw rows read
-		// the snapshot of a graph no write has inflated, without
-		// inflating it: a row store's rows keep tombstones, a cold
-		// graph's hold live edges only — and every edge an apply
-		// removed is already in its Touched.Edges.
+		// λ(v2)), so incident edges join the region. The rows hold live
+		// edges only — every edge an apply removed is already in its
+		// Touched.Edges.
 		for _, e := range g.OutEdgesRaw(n) {
 			reg.edgeSet.setBit(int(e))
 		}

@@ -306,7 +306,7 @@ func (r *oracle) ds7(emit emitFunc) {
 
 // nodesOfType yields the nodes v with λ(v) ⊑S t for a named type t
 // (object type: one label; interface/union: the implementing/member
-// labels), through the row store's label lists.
+// labels), through the graph's label lists.
 func (r *oracle) nodesOfType(named string) []pg.NodeID {
 	var out []pg.NodeID
 	for _, label := range r.s.ConcreteTargets(named) {

@@ -5,9 +5,9 @@ package validate_test
 // mapped snapshot file emits the byte-identical canonically-sorted
 // violation set as validating the heap-resident original — across
 // worker counts, satisfaction modes and the rule-by-rule oracles. The
-// fused configurations bind straight to the mapped columns (the cold
-// path); the oracles read the row store and so force store inflation;
-// both routes must agree with the heap baseline.
+// fused configurations bind straight to the mapped columns; the
+// oracles read through the graph's point readers; both routes must
+// agree with the heap baseline.
 
 import (
 	"context"
@@ -47,8 +47,8 @@ func mapGraph(t *testing.T, g *pg.Graph) *pg.Graph {
 // assertMappedEquivalence validates the heap graph and its mapped
 // round-trip under every engine configuration and mode, requiring
 // identical violation sets. A fresh mapped graph is opened per
-// configuration so each one starts cold (no configuration inherits an
-// inflated store from a previous one).
+// configuration so each one starts fresh (no configuration inherits
+// indexes or a binding from a previous one).
 func assertMappedEquivalence(t *testing.T, src string, g *pg.Graph, label string) {
 	t.Helper()
 	s := buildDiff(t, src)
@@ -93,9 +93,9 @@ func TestMappedSnapshotDifferential(t *testing.T) {
 }
 
 // TestMappedSnapshotRevalidate checks the mutate-then-revalidate path
-// on a mapped graph: Apply inflates the store copy-on-write, the
-// patched snapshot stays record-backed, and incremental revalidation
-// over it matches a full run.
+// on a mapped graph: Apply folds its overlay copy-on-write, the folded
+// snapshot stays record-backed, and incremental revalidation over it
+// matches a full run.
 func TestMappedSnapshotRevalidate(t *testing.T) {
 	s := buildDiff(t, diffSchema)
 	base, err := gen.Conformant(s, gen.Config{Seed: 1, NodesPerType: 8})

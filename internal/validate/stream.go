@@ -2,7 +2,7 @@
 // pass share one materialization. pg.ReadCSVStream seals the loaded
 // rows directly into the columnar Snapshot the fused engine scans, so
 // the two-phase load-then-validate path's second full pass over the
-// graph (buildSnapshot) never happens; schema compilation overlaps the
+// graph (folding the loaded rows into a snapshot) never happens; schema compilation overlaps the
 // load on a separate goroutine for the same reason.
 
 package validate

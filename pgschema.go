@@ -342,10 +342,10 @@ func WriteGraphSnapshot(w io.Writer, g *Graph) error {
 // mapping: no per-element decoding, no allocations proportional to
 // graph size, so open time is independent of element count and pages
 // fault in lazily as validation or queries touch them. The graph is
-// fully functional and, like a streamed CSV graph, is its snapshot
-// until the first write: validation, revalidation and queries read the
-// mapped columns, and the first mutation (or store-shaped read)
-// inflates a private row store; the file is never written through.
+// fully functional and, like a streamed CSV graph, is its snapshot:
+// validation, revalidation and queries read the mapped columns, and
+// writes fold into new snapshots that share the clean columns; the
+// file is never written through.
 // Call Graph.Close to release the mapping once the graph and
 // everything derived from it are no longer in use.
 func OpenGraphSnapshot(path string, opts ...SnapshotOpenOption) (*Graph, error) {
