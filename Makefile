@@ -3,9 +3,9 @@
 # agreement with its test oracles (the differential harness runs under
 # -race as part of `race`; the dedicated `differential` target re-runs
 # just it, shuffled).
-.PHONY: check fmt build vet test race api-golden differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke fuzz-apply-smoke fuzz-revalidate-smoke fuzz-validate-smoke fuzz-graphql-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke bench-serve scale-smoke scale-differential stream-smoke snapshot-differential clean
+.PHONY: check fmt build vet test race api-golden differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke fuzz-apply-smoke fuzz-revalidate-smoke fuzz-validate-smoke fuzz-graphql-smoke fuzz-put-smoke fuzz-swap-smoke bench bench-fused bench-compiled bench-scale bench-scale-smoke bench-incremental bench-ingest bench-query bench-smoke bench-snapshot bench-snapshot-smoke bench-serve scale-smoke scale-differential stream-smoke snapshot-differential clean
 
-check: fmt build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke fuzz-apply-smoke fuzz-revalidate-smoke fuzz-validate-smoke fuzz-graphql-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
+check: fmt build vet race api-golden differential scale-differential snapshot-differential fuzz-smoke fuzz-json-smoke fuzz-snapshot-smoke fuzz-wal-smoke fuzz-apply-smoke fuzz-revalidate-smoke fuzz-validate-smoke fuzz-graphql-smoke fuzz-put-smoke fuzz-swap-smoke stream-smoke bench-smoke bench-scale-smoke bench-snapshot-smoke
 
 # Every Go file must be gofmt-clean.
 fmt:
@@ -139,10 +139,14 @@ stream-smoke:
 # readers and Snapshot folding a pending overlay must be race-free
 # together, and a loaded graph (mapped or streamed) must keep answering
 # from the snapshot it was loaded as until a write, whose first Apply
-# costs no more than its second.
+# costs no more than its second. Chunked columns: a fold over a
+# multi-chunk heap or mapped base matches a rebuild, an apply's
+# allocation does not grow with the graph, and in-place appends to the
+# overflow arena, list table and label lists never reach a snapshot a
+# reader still holds (Apply, pin, Undo, Apply again).
 snapshot-differential:
 	go test -race -shuffle=on -count=1 \
-		-run 'TestMappedSnapshot|TestSnapshotFile|TestMappedApply|TestLoadedReaders|TestTombstoneReads|TestColdConcurrent|TestColdResidency|TestOpenSnapshot' \
+		-run 'TestMappedSnapshot|TestSnapshotFile|TestMappedApply|TestLoadedReaders|TestTombstoneReads|TestColdConcurrent|TestColdResidency|TestOpenSnapshot|TestChunkedFold|TestApplyCostIndependentOfSize|TestPinnedSnapshotImmutable' \
 		./internal/validate/ ./internal/pg/
 
 # A short coverage-guided run of the .pgsnap opener fuzz target: any
@@ -181,6 +185,17 @@ fuzz-validate-smoke:
 
 fuzz-graphql-smoke:
 	go test -run '^$$' -fuzz FuzzGraphQLBody -fuzztime 10s ./internal/server/
+
+# Short coverage-guided runs of the tenant-write fuzz targets: any body
+# put to /tenants/{name} or posted to /tenants/{name}/schema must answer
+# without a panic or a 5xx; a rejected one leaves the tenant's epoch,
+# schema and snapshot bytes unchanged (and creates no tenant), and a
+# schema swap never moves the graph.
+fuzz-put-smoke:
+	go test -run '^$$' -fuzz FuzzPutTenantBody -fuzztime 10s ./internal/server/
+
+fuzz-swap-smoke:
+	go test -run '^$$' -fuzz FuzzSchemaSwapBody -fuzztime 10s ./internal/server/
 
 # E14 — durable snapshots: WriteGraphSnapshot/OpenGraphSnapshot against
 # the streaming CSV loader (cold-start latency) and mapped vs heap

@@ -9,6 +9,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime/debug"
 	"testing"
 
@@ -17,6 +19,7 @@ import (
 	"pgschema/internal/pg"
 	"pgschema/internal/schema"
 	"pgschema/internal/validate"
+	"pgschema/internal/values"
 )
 
 // benchSchema is the validation benchmark schema of the root package's
@@ -191,5 +194,71 @@ func BenchmarkIngest(b *testing.B) {
 			}
 			perSec(b)
 		})
+	}
+}
+
+// BenchmarkApply — E22: the cost of one Graph.Apply as the graph grows,
+// on a heap base (the generated graph's folded snapshot) and a mapped
+// base (the same graph written to a .pgsnap file and opened), for two
+// delta shapes: one node property set, and one Author added with a
+// favoriteBook edge. A write should cost its delta, so B/op stays flat
+// from ~2·10⁵ to ~10⁶ elements.
+func BenchmarkApply(b *testing.B) {
+	for _, n := range []int{28_600, 143_000} {
+		_, g := benchGraph(b, n)
+		elems := g.NumNodes() + g.NumEdges()
+		path := filepath.Join(b.TempDir(), "g.pgsnap")
+		f, err := os.Create(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := pg.WriteSnapshot(f, g.Snapshot()); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+		author, _ := g.Sym("Author")
+		book, _ := g.Sym("Book")
+		authors, books := g.Snapshot().LabelNodes(author), g.Snapshot().LabelNodes(book)
+		g = nil
+		for _, base := range []string{"heap", "mapped"} {
+			for _, shape := range []string{"prop", "author"} {
+				b.Run(fmt.Sprintf("elems=%d/base=%s/delta=%s", elems, base, shape), func(b *testing.B) {
+					var g *pg.Graph
+					if base == "heap" {
+						_, g = benchGraph(b, n)
+					} else {
+						if g, err = pg.OpenSnapshot(path); err != nil {
+							b.Fatal(err)
+						}
+						defer g.Close()
+					}
+					delta := func(i int) pg.Delta {
+						if shape == "prop" {
+							return pg.Delta{SetNodeProps: []pg.NodePropSpec{{
+								Node: authors[i%len(authors)], Name: "name", Value: values.String(fmt.Sprintf("w%d", i)),
+							}}}
+						}
+						return pg.Delta{
+							AddNodes: []pg.AddNodeSpec{{Label: "Author", Props: []pg.PropEntry{{Name: "name", Value: values.String(fmt.Sprintf("new%d", i))}}}},
+							AddEdges: []pg.AddEdgeSpec{{Src: pg.NewNodeRef(0), Dst: books[i%len(books)], Label: "favoriteBook"}},
+						}
+					}
+					for i := 0; i < 3; i++ { // warm: the first folds allocate the overflow arena
+						if _, err := g.Apply(delta(i)); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := g.Apply(delta(3 + i)); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }

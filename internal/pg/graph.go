@@ -117,16 +117,7 @@ func newOverlay(base *Snapshot) *overlay {
 }
 
 // emptySnapshot is the base of a graph built through the mutation API.
-func emptySnapshot() *Snapshot {
-	zero := []uint32{0}
-	return &Snapshot{
-		idx:         newSnapIndexes(),
-		outOff:      zero,
-		inOff:       zero,
-		nodePropOff: zero,
-		edgePropOff: zero,
-	}
-}
+func emptySnapshot() *Snapshot { return &Snapshot{idx: newSnapIndexes()} }
 
 // New returns an empty Property Graph.
 func New() *Graph { return newLoadedGraph(emptySnapshot(), symbols{}, nil) }
@@ -232,7 +223,7 @@ func (g *Graph) writeNode(id NodeID) *nodeRow {
 	if r == nil {
 		b := g.base
 		r = &nodeRow{
-			label: b.nodeLabels[id],
+			label: b.NodeLabelSym(id),
 			props: slices.Clone(b.NodePropsOf(id)),
 			out:   slices.Clone(b.OutEdgesOf(id)),
 			in:    slices.Clone(b.InEdgesOf(id)),
@@ -252,9 +243,9 @@ func (g *Graph) writeEdge(id EdgeID) *edgeRow {
 	if r == nil {
 		b := g.base
 		r = &edgeRow{
-			src:   b.edgeSrc[id],
-			dst:   b.edgeDst[id],
-			label: b.edgeLabels[id],
+			src:   b.edgeSrc.at(int(id)),
+			dst:   b.edgeDst.at(int(id)),
+			label: b.EdgeLabelSym(id),
 			props: slices.Clone(b.EdgePropsOf(id)),
 		}
 		ov.edges[id] = r
@@ -407,7 +398,7 @@ func (g *Graph) NodeLabelSym(id NodeID) Sym {
 	if r := g.ovNode(id); r != nil {
 		return r.label
 	}
-	return g.base.nodeLabels[id]
+	return g.base.NodeLabelSym(id)
 }
 
 // EdgeLabelSym returns λ(e) as an interned Sym, or NoSym for a removed
@@ -416,7 +407,7 @@ func (g *Graph) EdgeLabelSym(id EdgeID) Sym {
 	if r := g.ovEdge(id); r != nil {
 		return r.label
 	}
-	return g.base.edgeLabels[id]
+	return g.base.EdgeLabelSym(id)
 }
 
 // Endpoints returns ρ(e) = (src, dst); a removed edge keeps its

@@ -2,6 +2,7 @@ package pg
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -203,6 +204,44 @@ func TestJSONRoundTrip(t *testing.T) {
 	e2 := back.Edges()[0]
 	if v, ok := back.EdgeProp(e2, "certainty"); !ok || v.AsFloat() != 0.9 {
 		t.Errorf("certainty: %v", v)
+	}
+}
+
+// TestReadJSONDeterministic: one JSON document loads with the same
+// Syms every time, so its .pgsnap image is byte-identical across loads.
+// Property names sit in maps, whose iteration order varies run to run.
+func TestReadJSONDeterministic(t *testing.T) {
+	var doc strings.Builder
+	doc.WriteString(`{"nodes": [`)
+	for i := 0; i < 4; i++ {
+		if i > 0 {
+			doc.WriteString(",")
+		}
+		fmt.Fprintf(&doc, `{"id": "n%d", "label": "L", "properties": {`, i)
+		for p := 0; p < 24; p++ {
+			if p > 0 {
+				doc.WriteString(",")
+			}
+			fmt.Fprintf(&doc, `"p%02d": %d`, (p*7+i)%24, p)
+		}
+		doc.WriteString("}}")
+	}
+	doc.WriteString(`], "edges": [{"source": "n0", "target": "n1", "label": "e", "properties": {"w": 1, "a": "x", "m": true}}]}`)
+	var first []byte
+	for load := 0; load < 5; load++ {
+		g, err := ReadJSON(strings.NewReader(doc.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, g.Snapshot()); err != nil {
+			t.Fatal(err)
+		}
+		if load == 0 {
+			first = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("load %d wrote a different .pgsnap image than the first", load)
+		}
 	}
 }
 

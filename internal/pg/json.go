@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"pgschema/internal/values"
 )
@@ -62,7 +63,8 @@ func propMap(props []Prop) map[string]values.Value {
 }
 
 // ReadJSON deserializes a graph written by WriteJSON (or hand-authored in
-// the same format).
+// the same format). Property names are interned in sorted order, so one
+// document always loads with the same Syms and snapshot bytes.
 func ReadJSON(r io.Reader) (*Graph, error) {
 	var doc jsonGraph
 	dec := json.NewDecoder(bufio.NewReaderSize(r, csvReaderSize))
@@ -80,8 +82,8 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 		}
 		id := g.AddNode(jn.Label)
 		byName[jn.ID] = id
-		for name, v := range jn.Props {
-			g.SetNodeProp(id, name, v)
+		for _, name := range sortedNames(jn.Props) {
+			g.SetNodeProp(id, name, jn.Props[name])
 		}
 	}
 	for i, je := range doc.Edges {
@@ -97,9 +99,20 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 		if err != nil {
 			return nil, err
 		}
-		for name, v := range je.Props {
-			g.SetEdgeProp(id, name, v)
+		for _, name := range sortedNames(je.Props) {
+			g.SetEdgeProp(id, name, je.Props[name])
 		}
 	}
 	return g, nil
+}
+
+// sortedNames returns the property names of a JSON property map in
+// sorted order.
+func sortedNames(props map[string]values.Value) []string {
+	names := make([]string, 0, len(props))
+	for name := range props {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	return names
 }

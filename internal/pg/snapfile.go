@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"unsafe"
 
@@ -39,8 +40,9 @@ import (
 // Trust model: a default open verifies the header CRC, the full section
 // geometry (bounds, alignment, element sizes, header-implied counts),
 // and checksums + decodes the sections it materializes eagerly (symbol
-// table, list values) — O(header + symbols), independent of graph size,
-// with data columns paged in lazily on first access. The Verify option
+// table, list values) — O(header + symbols) plus one chunk-directory
+// entry per 2048 elements of each column, with no column byte read: data
+// columns page in lazily on first access. The Verify option
 // additionally checksums every section and deep-validates structure
 // (offset monotonicity, ID ranges, record payload bounds); it is the
 // mode for files that crossed a trust boundary, at the price of reading
@@ -132,6 +134,16 @@ func bytesOf[T any](s []T) []byte {
 		return nil
 	}
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(z)))
+}
+
+// piecesOf views each piece of a chunked column as raw bytes, for
+// section writes.
+func piecesOf[T any](pieces [][]T) [][]byte {
+	out := make([][]byte, len(pieces))
+	for i, p := range pieces {
+		out[i] = bytesOf(p)
+	}
+	return out
 }
 
 // listFlattener serializes decoded list values into contiguous spans of
@@ -235,26 +247,29 @@ func decodeListSpan(span uint64, recs []propRec, arena []byte, depth int) (value
 	return values.List(elems...), nil
 }
 
-// WriteSnapshot serializes a snapshot as a .pgsnap image. All columns
-// are written as whole slices; only property rows of heap snapshots
-// need per-record encoding (their values hold pointers), and a
-// record-backed snapshot with an empty overflow arena round-trips as
-// raw column dumps.
+// WriteSnapshot serializes a snapshot as a .pgsnap image. Columns are
+// written chunk by chunk as raw bytes; row offsets are rebased to one
+// flat array, and only property rows of heap snapshots need
+// per-record encoding (their values hold pointers). A record-backed
+// snapshot with an empty overflow arena round-trips as raw column
+// dumps.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	if strconv.IntSize != 64 {
 		return fmt.Errorf("pgsnap: format requires a 64-bit platform")
 	}
-	if s.symNames == nil && (len(s.nodePropSet) > 0 || len(s.nodeProps) > 0 || len(s.nodePropRecs) > 0 ||
-		len(s.edgeProps) > 0 || len(s.edgePropRecs) > 0) {
+	if s.symNames == nil && (len(s.nodePropSet) > 0 || s.nodeProps.rows > 0 || s.nodeRecs.rows > 0 ||
+		s.edgeProps.rows > 0 || s.edgeRecs.rows > 0) {
 		return fmt.Errorf("pgsnap: snapshot carries no symbol names; rebuild it via Graph.Snapshot")
 	}
 
 	// Normalize property storage to single-arena record columns.
-	var nodeRecs, edgeRecs []propRec
+	var nodeRecs, edgeRecs [][]propRec
+	var nodeOff, edgeOff []uint32
 	var arena []byte
 	var lists []values.Value
 	if s.recBacked {
-		nodeRecs, edgeRecs, arena, lists = s.nodePropRecs, s.edgePropRecs, s.propArena, s.propLists
+		nodeRecs, edgeRecs, arena, lists = s.nodeRecs.rowPieces(), s.edgeRecs.rowPieces(), s.propArena, s.propLists
+		nodeOff, edgeOff = s.nodeRecs.flatOff(), s.edgeRecs.flatOff()
 		if len(s.propOver) > 0 {
 			shift := len(s.propArena)
 			if shift+len(s.propOver) > math.MaxUint32 {
@@ -264,13 +279,15 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 			merged = append(merged, s.propArena...)
 			merged = append(merged, s.propOver...)
 			arena = merged
-			fix := func(recs []propRec) []propRec {
-				out := make([]propRec, len(recs))
-				copy(out, recs)
-				for i := range out {
-					if out[i].arena == 1 {
-						out[i].arena = 0
-						out[i].a += uint64(shift) << 32
+			fix := func(pieces [][]propRec) [][]propRec {
+				out := make([][]propRec, len(pieces))
+				for i, recs := range pieces {
+					out[i] = slices.Clone(recs)
+					for j := range out[i] {
+						if r := &out[i][j]; r.arena == 1 {
+							r.arena = 0
+							r.a += uint64(shift) << 32
+						}
 					}
 				}
 				return out
@@ -279,14 +296,23 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 		}
 	} else {
 		enc := recEncoder{arenaID: 0}
-		if err := enc.addAll(s.nodeProps); err != nil {
-			return fmt.Errorf("pgsnap: %w", err)
+		encode := func(c *col[Prop]) ([][]propRec, error) {
+			enc.recs = nil
+			for _, props := range c.rowPieces() {
+				if err := enc.addAll(props); err != nil {
+					return nil, fmt.Errorf("pgsnap: %w", err)
+				}
+			}
+			return [][]propRec{enc.recs}, nil
 		}
-		nNode := len(enc.recs)
-		if err := enc.addAll(s.edgeProps); err != nil {
-			return fmt.Errorf("pgsnap: %w", err)
+		var err error
+		if nodeRecs, err = encode(&s.nodeProps); err != nil {
+			return err
 		}
-		nodeRecs, edgeRecs = enc.recs[:nNode:nNode], enc.recs[nNode:]
+		if edgeRecs, err = encode(&s.edgeProps); err != nil {
+			return err
+		}
+		nodeOff, edgeOff = s.nodeProps.flatOff(), s.edgeProps.flatOff()
 		arena, lists = enc.arena, enc.lists
 	}
 
@@ -318,61 +344,63 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	}
 
 	// Presence bitsets: a directory of 1-based set ordinals per sym
-	// (0 = no set) plus the concatenated word blocks.
-	nn := len(s.nodeLabels)
-	words := (nn + 63) / 64
+	// (0 = no set) plus the concatenated word blocks, each exactly the
+	// node bound's words long.
+	words := (s.NodeBound() + 63) / 64
 	dir := make([]uint32, len(s.symNames))
 	var setWords []uint64
 	numSets := uint32(0)
-	for sym, set := range s.nodePropSet {
-		if set == nil || sym >= len(dir) {
+	for sym := range s.nodePropSet {
+		set := &s.nodePropSet[sym]
+		if set.n == 0 || sym >= len(dir) {
 			continue
 		}
 		numSets++
 		dir[sym] = numSets
-		if len(set) == words {
-			setWords = append(setWords, set...)
-		} else {
-			// Defensive: normalize a set built against a different
-			// bound to exactly `words` words.
-			tmp := make([]uint64, words)
-			copy(tmp, set)
-			setWords = append(setWords, tmp...)
+		setWords = set.appendFlat(setWords)
+		if pad := words - set.n; pad > 0 {
+			setWords = append(setWords, make([]uint64, pad)...)
 		}
 	}
 
-	secs := [snapSections][]byte{
-		secSymArena:     symArena,
-		secSymOff:       bytesOf(symOff),
-		secNodeLabels:   bytesOf(s.nodeLabels),
-		secEdgeLabels:   bytesOf(s.edgeLabels),
-		secEdgeSrc:      bytesOf(s.edgeSrc),
-		secEdgeDst:      bytesOf(s.edgeDst),
-		secOutOff:       bytesOf(s.outOff),
-		secOutEdges:     bytesOf(s.outEdges),
-		secInOff:        bytesOf(s.inOff),
-		secInEdges:      bytesOf(s.inEdges),
-		secNodePropOff:  bytesOf(s.nodePropOff),
-		secNodePropRecs: bytesOf(nodeRecs),
-		secEdgePropOff:  bytesOf(s.edgePropOff),
-		secEdgePropRecs: bytesOf(edgeRecs),
-		secPropArena:    arena,
-		secListRoots:    bytesOf(roots),
-		secListRecs:     bytesOf(lf.recs),
-		secPropSetDir:   bytesOf(dir),
-		secPropSetWords: bytesOf(setWords),
+	one := func(b []byte) [][]byte { return [][]byte{b} }
+	secs := [snapSections][][]byte{
+		secSymArena:     one(symArena),
+		secSymOff:       one(bytesOf(symOff)),
+		secNodeLabels:   piecesOf(s.nodeLabels.pieces()),
+		secEdgeLabels:   piecesOf(s.edgeLabels.pieces()),
+		secEdgeSrc:      piecesOf(s.edgeSrc.pieces()),
+		secEdgeDst:      piecesOf(s.edgeDst.pieces()),
+		secOutOff:       one(bytesOf(s.out.flatOff())),
+		secOutEdges:     piecesOf(s.out.rowPieces()),
+		secInOff:        one(bytesOf(s.in.flatOff())),
+		secInEdges:      piecesOf(s.in.rowPieces()),
+		secNodePropOff:  one(bytesOf(nodeOff)),
+		secNodePropRecs: piecesOf(nodeRecs),
+		secEdgePropOff:  one(bytesOf(edgeOff)),
+		secEdgePropRecs: piecesOf(edgeRecs),
+		secPropArena:    one(arena),
+		secListRoots:    one(bytesOf(roots)),
+		secListRecs:     one(bytesOf(lf.recs)),
+		secPropSetDir:   one(bytesOf(dir)),
+		secPropSetWords: one(bytesOf(setWords)),
 	}
 
 	// Section table: offsets, sizes, checksums.
 	table := make([]byte, snapSections*snapSectionSize)
 	off := align8(snapHeaderSize + len(table))
 	for i, sec := range secs {
+		size, crc := 0, uint32(0)
+		for _, piece := range sec {
+			size += len(piece)
+			crc = crc32.Update(crc, castagnoli, piece)
+		}
 		ent := table[i*snapSectionSize:]
 		binary.LittleEndian.PutUint64(ent[0:], uint64(off))
-		binary.LittleEndian.PutUint64(ent[8:], uint64(len(sec)))
-		binary.LittleEndian.PutUint32(ent[16:], crc32.Checksum(sec, castagnoli))
+		binary.LittleEndian.PutUint64(ent[8:], uint64(size))
+		binary.LittleEndian.PutUint32(ent[16:], crc)
 		binary.LittleEndian.PutUint32(ent[20:], secElem[i])
-		off += align8(len(sec))
+		off += align8(size)
 	}
 
 	hdr := make([]byte, snapHeaderSize)
@@ -380,8 +408,8 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	binary.LittleEndian.PutUint32(hdr[8:], snapVersion)
 	*(*uint32)(unsafe.Pointer(&hdr[12])) = snapBOM
 	binary.LittleEndian.PutUint64(hdr[16:], s.epoch)
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(s.nodeLabels)))
-	binary.LittleEndian.PutUint64(hdr[32:], uint64(len(s.edgeLabels)))
+	binary.LittleEndian.PutUint64(hdr[24:], uint64(s.NodeBound()))
+	binary.LittleEndian.PutUint64(hdr[32:], uint64(s.EdgeBound()))
 	binary.LittleEndian.PutUint64(hdr[40:], uint64(s.liveNodes))
 	binary.LittleEndian.PutUint64(hdr[48:], uint64(s.liveEdges))
 	binary.LittleEndian.PutUint64(hdr[56:], uint64(len(s.symNames)))
@@ -405,10 +433,14 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 		}
 	}
 	for _, sec := range secs {
-		if _, err := bw.Write(sec); err != nil {
-			return err
+		size := 0
+		for _, piece := range sec {
+			if _, err := bw.Write(piece); err != nil {
+				return err
+			}
+			size += len(piece)
 		}
-		if p := align8(len(sec)) - len(sec); p > 0 {
+		if p := align8(size) - size; p > 0 {
 			if _, err := bw.Write(pad[:p]); err != nil {
 				return err
 			}
@@ -430,13 +462,14 @@ type openOpts struct{ verify bool }
 func Verify() OpenOption { return func(o *openOpts) { o.verify = true } }
 
 // OpenSnapshot maps a .pgsnap file read-only and returns a Graph whose
-// snapshot columns alias the mapping: no allocations proportional to
-// graph size, open cost O(header + symbol table), pages faulted in
-// lazily on first access. Like a streamed CSV graph, the result is its
-// snapshot: validation, revalidation and queries read the mapped
+// snapshot columns alias the mapping: the allocation count does not
+// grow with the graph, open cost is O(header + symbol table) plus the
+// columns' chunk directories (one entry per 2048 elements), and pages
+// fault in lazily on first access. Like a streamed CSV graph, the result
+// is its snapshot: validation, revalidation and queries read the mapped
 // columns directly, and writes go to the graph's overlay and fold into
-// new snapshots that share the clean columns — the file is never
-// written through.
+// new snapshots that share the clean chunks — the file is never written
+// through.
 //
 // Close releases the mapping; see Graph.Close for the lifetime rules.
 func OpenSnapshot(path string, opts ...OpenOption) (*Graph, error) {
@@ -612,26 +645,36 @@ func loadSnapshot(data []byte, path string, verify bool) (*Snapshot, symbols, er
 		return fail("section symOff: last offset %d, want arena size %d", symOff[symCount], len(symArena))
 	}
 
+	f := flatColumns{
+		nodeLabels:  viewSlice[Sym](raw(secNodeLabels)),
+		edgeLabels:  viewSlice[Sym](raw(secEdgeLabels)),
+		edgeSrc:     viewSlice[NodeID](raw(secEdgeSrc)),
+		edgeDst:     viewSlice[NodeID](raw(secEdgeDst)),
+		outOff:      viewSlice[uint32](raw(secOutOff)),
+		outEdges:    viewSlice[EdgeID](raw(secOutEdges)),
+		inOff:       viewSlice[uint32](raw(secInOff)),
+		inEdges:     viewSlice[EdgeID](raw(secInEdges)),
+		nodePropOff: viewSlice[uint32](raw(secNodePropOff)),
+		nodeRecs:    viewSlice[propRec](raw(secNodePropRecs)),
+		edgePropOff: viewSlice[uint32](raw(secEdgePropOff)),
+		edgeRecs:    viewSlice[propRec](raw(secEdgePropRecs)),
+	}
 	s := &Snapshot{
-		idx:          newSnapIndexes(),
-		epoch:        epoch,
-		liveNodes:    int(liveNodes),
-		liveEdges:    int(liveEdges),
-		symNames:     names[:len(names):len(names)],
-		recBacked:    true,
-		nodeLabels:   viewSlice[Sym](raw(secNodeLabels)),
-		edgeLabels:   viewSlice[Sym](raw(secEdgeLabels)),
-		edgeSrc:      viewSlice[NodeID](raw(secEdgeSrc)),
-		edgeDst:      viewSlice[NodeID](raw(secEdgeDst)),
-		outOff:       viewSlice[uint32](raw(secOutOff)),
-		outEdges:     viewSlice[EdgeID](raw(secOutEdges)),
-		inOff:        viewSlice[uint32](raw(secInOff)),
-		inEdges:      viewSlice[EdgeID](raw(secInEdges)),
-		nodePropOff:  viewSlice[uint32](raw(secNodePropOff)),
-		nodePropRecs: viewSlice[propRec](raw(secNodePropRecs)),
-		edgePropOff:  viewSlice[uint32](raw(secEdgePropOff)),
-		edgePropRecs: viewSlice[propRec](raw(secEdgePropRecs)),
-		propArena:    raw(secPropArena),
+		idx:        newSnapIndexes(),
+		epoch:      epoch,
+		liveNodes:  int(liveNodes),
+		liveEdges:  int(liveEdges),
+		symNames:   names[:len(names):len(names)],
+		recBacked:  true,
+		nodeLabels: fixedCol(f.nodeLabels),
+		edgeLabels: fixedCol(f.edgeLabels),
+		edgeSrc:    fixedCol(f.edgeSrc),
+		edgeDst:    fixedCol(f.edgeDst),
+		out:        rowCol(f.outOff, f.outEdges),
+		in:         rowCol(f.inOff, f.inEdges),
+		nodeRecs:   rowCol(f.nodePropOff, f.nodeRecs),
+		edgeRecs:   rowCol(f.edgePropOff, f.edgeRecs),
+		propArena:  raw(secPropArena),
 	}
 
 	// List values: decoded eagerly (bounded by the header list count;
@@ -649,7 +692,7 @@ func loadSnapshot(data []byte, path string, verify bool) (*Snapshot, symbols, er
 		}
 	}
 
-	// Presence bitsets: O(symbols) slice headers over the words blob.
+	// Presence bitsets: O(symbols) chunk directories over the words blob.
 	dir := viewSlice[uint32](raw(secPropSetDir))
 	setWords := viewSlice[uint64](raw(secPropSetWords))
 	words := (int(nodeBound) + 63) / 64
@@ -662,7 +705,7 @@ func loadSnapshot(data []byte, path string, verify bool) (*Snapshot, symbols, er
 	} else if len(setWords) != 0 {
 		return fail("section propSetWords: %d words for an empty graph", len(setWords))
 	}
-	s.nodePropSet = make([][]uint64, symCount)
+	s.nodePropSet = make([]col[uint64], symCount)
 	for sym, ord := range dir {
 		if ord == 0 {
 			continue
@@ -670,27 +713,37 @@ func loadSnapshot(data []byte, path string, verify bool) (*Snapshot, symbols, er
 		if int(ord) > numSets {
 			return fail("section propSetDir: sym %d references set %d of %d", sym, ord, numSets)
 		}
-		blk := setWords[(int(ord)-1)*words : int(ord)*words]
-		s.nodePropSet[sym] = blk[:len(blk):len(blk)]
+		s.nodePropSet[sym] = fixedCol(setWords[(int(ord)-1)*words : int(ord)*words])
 	}
 
 	if verify {
-		if err := verifySnapshotStructure(s, path); err != nil {
+		if err := f.verify(s, path); err != nil {
 			return nil, none, err
 		}
 	}
 	return s, symbols{ids: ids, names: names}, nil
 }
 
-// verifySnapshotStructure deep-checks the aliased columns: everything a
-// hot loop would otherwise index unchecked.
-func verifySnapshotStructure(s *Snapshot, path string) error {
+// flatColumns are a .pgsnap image's data sections as flat views, before
+// the opener chunks them.
+type flatColumns struct {
+	nodeLabels, edgeLabels   []Sym
+	edgeSrc, edgeDst         []NodeID
+	outOff, inOff            []uint32
+	outEdges, inEdges        []EdgeID
+	nodePropOff, edgePropOff []uint32
+	nodeRecs, edgeRecs       []propRec
+}
+
+// verify deep-checks the aliased columns of s, opened over f:
+// everything a hot loop would otherwise index unchecked.
+func (f *flatColumns) verify(s *Snapshot, path string) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("pgsnap: %s: structure: %s", path, fmt.Sprintf(format, args...))
 	}
-	nn, ne, nsym := len(s.nodeLabels), len(s.edgeLabels), len(s.symNames)
+	nn, ne, nsym := len(f.nodeLabels), len(f.edgeLabels), len(s.symNames)
 	liveN, liveE := 0, 0
-	for v, ls := range s.nodeLabels {
+	for v, ls := range f.nodeLabels {
 		if ls != NoSym {
 			if ls < 0 || int(ls) >= nsym {
 				return fail("node %d: label sym %d out of range [0,%d)", v, ls, nsym)
@@ -698,7 +751,7 @@ func verifySnapshotStructure(s *Snapshot, path string) error {
 			liveN++
 		}
 	}
-	for e, ls := range s.edgeLabels {
+	for e, ls := range f.edgeLabels {
 		if ls != NoSym {
 			if ls < 0 || int(ls) >= nsym {
 				return fail("edge %d: label sym %d out of range [0,%d)", e, ls, nsym)
@@ -711,7 +764,7 @@ func verifySnapshotStructure(s *Snapshot, path string) error {
 			s.liveNodes, s.liveEdges, liveN, liveE)
 	}
 	for e := 0; e < ne; e++ {
-		if src, dst := s.edgeSrc[e], s.edgeDst[e]; src < 0 || int(src) >= nn || dst < 0 || int(dst) >= nn {
+		if src, dst := f.edgeSrc[e], f.edgeDst[e]; src < 0 || int(src) >= nn || dst < 0 || int(dst) >= nn {
 			return fail("edge %d: endpoints (%d,%d) outside node bound %d", e, src, dst, nn)
 		}
 	}
@@ -734,21 +787,21 @@ func verifySnapshotStructure(s *Snapshot, path string) error {
 		off  []uint32
 		n    int
 	}{
-		{"outOff", s.outOff, len(s.outEdges)},
-		{"inOff", s.inOff, len(s.inEdges)},
-		{"nodePropOff", s.nodePropOff, len(s.nodePropRecs)},
-		{"edgePropOff", s.edgePropOff, len(s.edgePropRecs)},
+		{"outOff", f.outOff, len(f.outEdges)},
+		{"inOff", f.inOff, len(f.inEdges)},
+		{"nodePropOff", f.nodePropOff, len(f.nodeRecs)},
+		{"edgePropOff", f.edgePropOff, len(f.edgeRecs)},
 	} {
 		if err := checkOff(c.name, c.off, c.n); err != nil {
 			return err
 		}
 	}
-	for i, e := range s.outEdges {
+	for i, e := range f.outEdges {
 		if e < 0 || int(e) >= ne {
 			return fail("outEdges[%d]: edge %d outside edge bound %d", i, e, ne)
 		}
 	}
-	for i, e := range s.inEdges {
+	for i, e := range f.inEdges {
 		if e < 0 || int(e) >= ne {
 			return fail("inEdges[%d]: edge %d outside edge bound %d", i, e, ne)
 		}
@@ -779,8 +832,8 @@ func verifySnapshotStructure(s *Snapshot, path string) error {
 		}
 		return nil
 	}
-	if err := checkRecs("nodePropRecs", s.nodePropRecs); err != nil {
+	if err := checkRecs("nodePropRecs", f.nodeRecs); err != nil {
 		return err
 	}
-	return checkRecs("edgePropRecs", s.edgePropRecs)
+	return checkRecs("edgePropRecs", f.edgeRecs)
 }

@@ -31,6 +31,7 @@ type snapIndexes struct {
 	enumOnce sync.Once
 	enumDone atomic.Bool // byLabel is built (set inside enumOnce)
 	byLabel  [][]NodeID  // byLabel[sym]: live nodes labeled exactly sym, ascending
+	labelTip []*tip      // labelTip[sym] guards in-place appends to byLabel[sym]
 
 	mu   sync.Mutex
 	keys map[Sym][]*keyIndex // by first label sym
@@ -99,14 +100,16 @@ func (s *Snapshot) LabelNodes(sym Sym) []NodeID {
 	if sym < 0 || int(sym) >= len(x.byLabel) {
 		return nil
 	}
-	return x.byLabel[sym]
+	return slices.Clip(x.byLabel[sym])
 }
 
 func (s *Snapshot) buildLabelNodes() [][]NodeID {
 	counts := make([]int, len(s.symNames)+1)
-	for _, ls := range s.nodeLabels {
-		if ls != NoSym {
-			counts[ls+1]++
+	for _, ch := range s.nodeLabels.chunks {
+		for _, ls := range ch.data {
+			if ls != NoSym {
+				counts[ls+1]++
+			}
 		}
 	}
 	for i := 1; i < len(counts); i++ {
@@ -114,10 +117,12 @@ func (s *Snapshot) buildLabelNodes() [][]NodeID {
 	}
 	flat := make([]NodeID, counts[len(counts)-1])
 	next := append([]int(nil), counts[:len(counts)-1]...)
-	for v, ls := range s.nodeLabels {
-		if ls != NoSym {
-			flat[next[ls]] = NodeID(v)
-			next[ls]++
+	for ci, ch := range s.nodeLabels.chunks {
+		for j, ls := range ch.data {
+			if ls != NoSym {
+				flat[next[ls]] = NodeID(ci<<ChunkShift + j)
+				next[ls]++
+			}
 		}
 	}
 	out := make([][]NodeID, len(s.symNames))
@@ -235,7 +240,7 @@ func (k *keyIndex) enumOrder(s *Snapshot) func(a, b NodeID) int {
 	}
 	return func(a, b NodeID) int {
 		return cmp.Or(
-			cmp.Compare(slices.Index(k.labels, s.nodeLabels[a]), slices.Index(k.labels, s.nodeLabels[b])),
+			cmp.Compare(slices.Index(k.labels, s.NodeLabelSym(a)), slices.Index(k.labels, s.NodeLabelSym(b))),
 			cmp.Compare(a, b))
 	}
 }
@@ -326,9 +331,9 @@ func (s *Snapshot) keyIndex(labels, props []Sym) *keyIndex {
 func (x *snapIndexes) patchIndexes(old, s *Snapshot, p *patchPlan) *snapIndexes {
 	nx := newSnapIndexes()
 	if x.enumDone.Load() {
-		byLabel := x.patchLabelNodes(old, s, p)
+		byLabel, tips := x.patchLabelNodes(old, s, p)
 		nx.enumOnce.Do(func() {
-			nx.byLabel = byLabel
+			nx.byLabel, nx.labelTip = byLabel, tips
 			nx.enumDone.Store(true)
 		})
 	}
@@ -357,18 +362,21 @@ func (x *snapIndexes) patchIndexes(old, s *Snapshot, p *patchPlan) *snapIndexes 
 // labelOf returns λ(v) in s, NoSym for a removed node or an id past
 // s's bound.
 func (s *Snapshot) labelOf(v NodeID) Sym {
-	if int(v) >= len(s.nodeLabels) {
+	if int(v) >= s.NodeBound() {
 		return NoSym
 	}
-	return s.nodeLabels[v]
+	return s.NodeLabelSym(v)
 }
 
 // patchLabelNodes derives s's label lists from x's, those of old: only
-// a label that gained or lost a dirty node gets a new list, the old
-// one less the nodes it lost plus those it gained.
-func (x *snapIndexes) patchLabelNodes(old, s *Snapshot, p *patchPlan) [][]NodeID {
+// a label that gained or lost a dirty node gets a new list. A label that
+// only gained appended nodes appends them to its list — in place when
+// old's list is its tip (see tip), so that costs the delta; any other
+// change rebuilds the label's list, the old one less the nodes it lost
+// plus those it gained.
+func (x *snapIndexes) patchLabelNodes(old, s *Snapshot, p *patchPlan) ([][]NodeID, []*tip) {
 	if !p.nodeLabelsChanged {
-		return x.byLabel
+		return x.byLabel, x.labelTip
 	}
 	type change struct{ gained, lost []NodeID } // ascending, as nodeDirty is
 	changes := make(map[Sym]*change)
@@ -393,12 +401,20 @@ func (x *snapIndexes) patchLabelNodes(old, s *Snapshot, p *patchPlan) [][]NodeID
 		}
 	}
 	if len(changes) == 0 {
-		return x.byLabel
+		return x.byLabel, x.labelTip
 	}
-	out := make([][]NodeID, max(len(x.byLabel), len(s.symNames)))
+	n := max(len(x.byLabel), len(s.symNames))
+	out, tips := make([][]NodeID, n), make([]*tip, n)
 	copy(out, x.byLabel)
-	oldNN := NodeID(len(old.nodeLabels))
+	copy(tips, x.labelTip)
+	oldNN := NodeID(old.NodeBound())
 	for l, c := range changes {
+		if len(c.lost) == 0 && c.gained[0] >= oldNN {
+			list, claimed := extend(out[l], tips[l])
+			list = append(list, c.gained...)
+			out[l], tips[l] = list, settleTip(tips[l], claimed, out[l], list)
+			continue
+		}
 		list := make([]NodeID, 0, len(out[l])+len(c.gained))
 		for _, v := range out[l] {
 			if _, lost := slices.BinarySearch(c.lost, v); !lost {
@@ -412,9 +428,9 @@ func (x *snapIndexes) patchLabelNodes(old, s *Snapshot, p *patchPlan) [][]NodeID
 		if len(list) == 0 {
 			list = nil
 		}
-		out[l] = slices.Clip(list)
+		out[l], tips[l] = list, nil
 	}
-	return out
+	return out, tips
 }
 
 // patchedKey returns k carried forward from old to s across the dirty

@@ -83,10 +83,9 @@ func (s *Snapshot) recString(r *propRec) string {
 	return unsafe.String(&arena[off], n)
 }
 
-// recProp decodes record i of recs into a full Prop, reconstructing the
-// Name from the snapshot's symbol names.
-func (s *Snapshot) recProp(recs []propRec, i int) Prop {
-	r := &recs[i]
+// recProp decodes a record into a full Prop, reconstructing the Name
+// from the snapshot's symbol names.
+func (s *Snapshot) recProp(r *propRec) Prop {
 	return Prop{Sym: Sym(r.sym), Name: s.symNames[r.sym], Value: s.recValue(r)}
 }
 

@@ -22,33 +22,31 @@ type Snapshot struct {
 
 	// nodeLabels[v] is λ(v), or NoSym when the node is removed;
 	// edgeLabels[e] likewise for edges.
-	nodeLabels []Sym
-	edgeLabels []Sym
+	nodeLabels col[Sym]
+	edgeLabels col[Sym]
 
 	// edgeSrc[e], edgeDst[e] are ρ(e), recorded for removed edges too
 	// (tombstones keep their endpoints).
-	edgeSrc []NodeID
-	edgeDst []NodeID
+	edgeSrc col[NodeID]
+	edgeDst col[NodeID]
 
-	// CSR adjacency: the live out-edges of node v are
-	// outEdges[outOff[v]:outOff[v+1]], in edge-id order; inOff/inEdges
-	// mirror it for incoming edges.
-	outOff   []uint32
-	outEdges []EdgeID
-	inOff    []uint32
-	inEdges  []EdgeID
+	// CSR adjacency as row columns: row v of out holds the live
+	// out-edges of node v in edge-id order; in mirrors it for incoming
+	// edges.
+	out col[EdgeID]
+	in  col[EdgeID]
 
-	// Flattened properties: the sorted property list of node v is
-	// nodeProps[nodePropOff[v]:nodePropOff[v+1]]; edges mirror it.
-	nodePropOff []uint32
-	nodeProps   []Prop
-	edgePropOff []uint32
-	edgeProps   []Prop
+	// Property rows: row v of nodeProps is the sorted property list of
+	// node v; edges mirror it.
+	nodeProps col[Prop]
+	edgeProps col[Prop]
 
-	// nodePropSet[s] is a bitset over node IDs: bit v is set iff the
-	// live node v defines a property named s. Nil for syms never used
-	// as a node property name, so presence checks cost one word load.
-	nodePropSet [][]uint64
+	// nodePropSet[s] is a bitset over node IDs, one word per 64 nodes:
+	// bit v is set iff the live node v defines a property named s.
+	// Words past the set's length are zero, and the zero col stands for
+	// a sym never used as a node property name, so presence checks cost
+	// one word load.
+	nodePropSet []col[uint64]
 
 	// liveNodes/liveEdges are |V| and |E| at the snapshot's epoch
 	// (bounds minus tombstones); symNames maps every Sym valid at that
@@ -58,20 +56,22 @@ type Snapshot struct {
 	liveEdges int
 	symNames  []string
 
-	// Record-backed property storage (mapped snapshots, and patches of
-	// them). When recBacked is set, nodeProps/edgeProps are nil and the
-	// property rows live in nodePropRecs/edgePropRecs instead — the
-	// same nodePropOff/edgePropOff offsets index both representations.
-	// propArena holds textual payloads (read-only, typically aliasing
-	// the file mapping); propOver is the private append-only overflow
-	// arena patches encode new strings into; propLists holds decoded
-	// list values indexed by record payload.
-	recBacked    bool
-	nodePropRecs []propRec
-	edgePropRecs []propRec
-	propArena    []byte
-	propOver     []byte
-	propLists    []values.Value
+	// Record-backed property storage (mapped snapshots, and folds of
+	// them). When recBacked is set, nodeProps/edgeProps are empty and
+	// the property rows live in nodeRecs/edgeRecs instead. propArena
+	// holds textual payloads (read-only, typically aliasing the file
+	// mapping); propOver is the private overflow arena folds encode new
+	// strings into; propLists holds decoded list values indexed by
+	// record payload. Folds append to propOver and propLists in place
+	// from their tips (overTip, listTip; see tip).
+	recBacked bool
+	nodeRecs  col[propRec]
+	edgeRecs  col[propRec]
+	propArena []byte
+	propOver  []byte
+	overTip   *tip
+	propLists []values.Value
+	listTip   *tip
 
 	// mapping keeps the file mapping this snapshot's columns alias
 	// alive (and closeable); nil for heap snapshots.
@@ -111,22 +111,25 @@ func (s *Snapshot) Epoch() uint64 { return s.epoch }
 // MemoryFootprint estimates the bytes the snapshot's columns occupy: the
 // label, endpoint, adjacency, offset, and property arrays plus the
 // presence bitsets and (for record-backed snapshots) the value arenas.
-// It is an accounting figure for cache budgets — property Values share
-// storage with the graph and mapped columns are file-backed, so the
-// number bounds rather than measures private heap use.
+// Each snapshot counts every chunk it reads, shared with other
+// snapshots or not, from the columns' element and row totals, so the
+// estimate reads no column byte. It is an accounting figure for cache
+// budgets — property Values share storage with the graph and mapped
+// columns are file-backed, so the number bounds rather than measures
+// private heap use.
 func (s *Snapshot) MemoryFootprint() int64 {
 	const symSize = 4 // Sym is an int32
 	n := int64(0)
-	n += int64(len(s.nodeLabels)+len(s.edgeLabels)) * symSize
-	n += int64(len(s.edgeSrc)+len(s.edgeDst)) * 8 // NodeID is an int64
-	n += int64(len(s.outOff)+len(s.inOff)+len(s.nodePropOff)+len(s.edgePropOff)) * 4
-	n += int64(len(s.outEdges)+len(s.inEdges)) * 8
+	n += int64(s.nodeLabels.n+s.edgeLabels.n) * symSize
+	n += int64(s.edgeSrc.n+s.edgeDst.n) * 8               // NodeID is an int64
+	n += int64(3*(s.nodeLabels.n+1)+s.edgeLabels.n+1) * 4 // row offsets
+	n += int64(s.out.rows+s.in.rows) * 8
 	const propSize = 4 + 16 + 16 // Sym + string header + Value
-	n += int64(len(s.nodeProps)+len(s.edgeProps)) * propSize
-	n += int64(len(s.nodePropRecs)+len(s.edgePropRecs)) * propRecSize
+	n += int64(s.nodeProps.rows+s.edgeProps.rows) * propSize
+	n += int64(s.nodeRecs.rows+s.edgeRecs.rows) * propRecSize
 	n += int64(len(s.propArena) + len(s.propOver))
-	for _, set := range s.nodePropSet {
-		n += int64(len(set)) * 8
+	for i := range s.nodePropSet {
+		n += int64(s.nodePropSet[i].n) * 8
 	}
 	for _, name := range s.symNames {
 		n += int64(len(name)) + 16
@@ -136,94 +139,105 @@ func (s *Snapshot) MemoryFootprint() int64 {
 
 // NodeBound is the exclusive upper bound of node IDs, as in
 // Graph.NodeBound.
-func (s *Snapshot) NodeBound() int { return len(s.nodeLabels) }
+func (s *Snapshot) NodeBound() int { return s.nodeLabels.n }
 
 // EdgeBound is the exclusive upper bound of edge IDs.
-func (s *Snapshot) EdgeBound() int { return len(s.edgeLabels) }
+func (s *Snapshot) EdgeBound() int { return s.edgeLabels.n }
 
 // NodeLabelSym returns λ(v) as a Sym, or NoSym for a removed node.
-func (s *Snapshot) NodeLabelSym(v NodeID) Sym { return s.nodeLabels[v] }
+func (s *Snapshot) NodeLabelSym(v NodeID) Sym { return s.nodeLabels.at(int(v)) }
 
 // EdgeLabelSym returns λ(e) as a Sym, or NoSym for a removed edge.
-func (s *Snapshot) EdgeLabelSym(e EdgeID) Sym { return s.edgeLabels[e] }
+func (s *Snapshot) EdgeLabelSym(e EdgeID) Sym { return s.edgeLabels.at(int(e)) }
 
 // Endpoints returns ρ(e) = (src, dst).
 func (s *Snapshot) Endpoints(e EdgeID) (src, dst NodeID) {
-	return s.edgeSrc[e], s.edgeDst[e]
+	return s.edgeSrc.at(int(e)), s.edgeDst.at(int(e))
 }
+
+// EdgeSource is the source of ρ(e), at half the column loads of
+// Endpoints.
+func (s *Snapshot) EdgeSource(e EdgeID) NodeID { return s.edgeSrc.at(int(e)) }
+
+// EdgeTarget is the target of ρ(e).
+func (s *Snapshot) EdgeTarget(e EdgeID) NodeID { return s.edgeDst.at(int(e)) }
 
 // OutEdgesOf returns the live outgoing edges of v in edge-id order,
 // shared with the snapshot (callers must not mutate).
-func (s *Snapshot) OutEdgesOf(v NodeID) []EdgeID {
-	return s.outEdges[s.outOff[v]:s.outOff[v+1]]
-}
+func (s *Snapshot) OutEdgesOf(v NodeID) []EdgeID { return s.out.row(int(v)) }
 
 // InEdgesOf returns the live incoming edges of v in edge-id order.
-func (s *Snapshot) InEdgesOf(v NodeID) []EdgeID {
-	return s.inEdges[s.inOff[v]:s.inOff[v+1]]
-}
+func (s *Snapshot) InEdgesOf(v NodeID) []EdgeID { return s.in.row(int(v)) }
 
 // NodePropsOf returns the sorted property list of a live node. For a
 // heap snapshot the slice is shared with the snapshot; a record-backed
-// snapshot decodes a fresh slice. Hot loops use NodePropRow/NodePropAt
-// instead, which are allocation-free for both representations.
+// snapshot decodes a fresh slice. Hot loops use NodePropRows instead,
+// which is allocation-free for both representations.
 func (s *Snapshot) NodePropsOf(v NodeID) []Prop {
-	lo, hi := s.nodePropOff[v], s.nodePropOff[v+1]
 	if !s.recBacked {
-		return s.nodeProps[lo:hi]
+		return s.nodeProps.row(int(v))
 	}
-	return s.decodeProps(s.nodePropRecs, int(lo), int(hi))
+	return s.decodeProps(s.nodeRecs.row(int(v)))
 }
 
 // EdgePropsOf returns the sorted property list of a live edge, under
 // the same contract as NodePropsOf.
 func (s *Snapshot) EdgePropsOf(e EdgeID) []Prop {
-	lo, hi := s.edgePropOff[e], s.edgePropOff[e+1]
 	if !s.recBacked {
-		return s.edgeProps[lo:hi]
+		return s.edgeProps.row(int(e))
 	}
-	return s.decodeProps(s.edgePropRecs, int(lo), int(hi))
+	return s.decodeProps(s.edgeRecs.row(int(e)))
 }
 
-func (s *Snapshot) decodeProps(recs []propRec, lo, hi int) []Prop {
-	if lo == hi {
+func (s *Snapshot) decodeProps(recs []propRec) []Prop {
+	if len(recs) == 0 {
 		return nil
 	}
-	out := make([]Prop, hi-lo)
+	out := make([]Prop, len(recs))
 	for i := range out {
-		out[i] = s.recProp(recs, lo+i)
+		out[i] = s.recProp(&recs[i])
 	}
 	return out
 }
 
-// NodePropRow returns the half-open index range of node v's property
-// row for use with NodePropAt. Iterating the row by index instead of
-// materializing a []Prop works identically — and allocation-free — over
-// heap and record-backed snapshots.
-func (s *Snapshot) NodePropRow(v NodeID) (lo, hi int) {
-	return int(s.nodePropOff[v]), int(s.nodePropOff[v+1])
+// PropRows is one chunk of a snapshot's node or edge property rows:
+// the sorted property list of element (c<<ChunkShift)+j is the
+// properties in the range Row(j), each read with At. Kernels that walk
+// elements in id order fetch it once per chunk; reading rows through it
+// works identically — and allocation-free — over heap and
+// record-backed snapshots.
+type PropRows struct {
+	s     *Snapshot
+	off   []uint32
+	props []Prop    // heap snapshots
+	recs  []propRec // record-backed snapshots
 }
 
-// NodePropAt returns property i of the flattened node property rows;
-// i must come from a NodePropRow range.
-func (s *Snapshot) NodePropAt(i int) Prop {
-	if !s.recBacked {
-		return s.nodeProps[i]
+// NodePropRows returns chunk c of the node property rows.
+func (s *Snapshot) NodePropRows(c int) PropRows { return s.propRows(&s.nodeProps, &s.nodeRecs, c) }
+
+// EdgePropRows returns chunk c of the edge property rows.
+func (s *Snapshot) EdgePropRows(c int) PropRows { return s.propRows(&s.edgeProps, &s.edgeRecs, c) }
+
+func (s *Snapshot) propRows(props *col[Prop], recs *col[propRec], c int) PropRows {
+	if s.recBacked {
+		ch := &recs.chunks[c]
+		return PropRows{s: s, off: ch.off, recs: ch.data}
 	}
-	return s.recProp(s.nodePropRecs, i)
+	ch := &props.chunks[c]
+	return PropRows{s: s, off: ch.off, props: ch.data}
 }
 
-// EdgePropRow is NodePropRow for the edge property rows.
-func (s *Snapshot) EdgePropRow(e EdgeID) (lo, hi int) {
-	return int(s.edgePropOff[e]), int(s.edgePropOff[e+1])
-}
+// Row returns the half-open range of element j's properties in the
+// chunk, for At.
+func (r *PropRows) Row(j int) (lo, hi int) { return int(r.off[j]), int(r.off[j+1]) }
 
-// EdgePropAt is NodePropAt for the edge property rows.
-func (s *Snapshot) EdgePropAt(i int) Prop {
-	if !s.recBacked {
-		return s.edgeProps[i]
+// At returns property i of the chunk; i must come from a Row range.
+func (r *PropRows) At(i int) Prop {
+	if r.recs != nil {
+		return r.s.recProp(&r.recs[i])
 	}
-	return s.recProp(s.edgePropRecs, i)
+	return r.props[i]
 }
 
 // NumNodes is |V| at the snapshot's epoch.
@@ -235,34 +249,58 @@ func (s *Snapshot) NumEdges() int { return s.liveEdges }
 // Mapped reports whether the snapshot's columns alias a file mapping.
 func (s *Snapshot) Mapped() bool { return s.mapping != nil }
 
-// NodeLabelColumn exposes the label column itself: element v's label
-// Sym, or NoSym for removed nodes. Shared with the snapshot — callers
-// must treat it as read-only. Word-at-a-time kernels index it directly
+// NodeLabelChunk exposes chunk c of the label column: the label Sym of
+// nodes c<<ChunkShift onward, NoSym for removed ones; nil past the
+// node bound. Shared with the snapshot — callers must treat it as
+// read-only. Word-at-a-time kernels walk the column chunk by chunk
 // instead of paying a bounds-checked method call per element.
-func (s *Snapshot) NodeLabelColumn() []Sym { return s.nodeLabels }
+func (s *Snapshot) NodeLabelChunk(c int) []Sym { return s.nodeLabels.chunkData(c) }
 
-// EdgeLabelColumn is NodeLabelColumn for edges.
-func (s *Snapshot) EdgeLabelColumn() []Sym { return s.edgeLabels }
+// EdgeLabelChunk is NodeLabelChunk for edges.
+func (s *Snapshot) EdgeLabelChunk(c int) []Sym { return s.edgeLabels.chunkData(c) }
 
-// NodePropWords exposes the presence bitset of property name p as raw
-// words: bit v of word v/64 is set iff live node v defines p. Nil when
-// the sym was never used as a node property name (semantically an
-// all-zero bitset). Shared with the snapshot — read-only.
-func (s *Snapshot) NodePropWords(p Sym) []uint64 {
+// OutEdgeChunk exposes chunk c of the out-adjacency: the live
+// out-edges of node (c<<ChunkShift)+j are edges[off[j]:off[j+1]], in
+// edge-id order. Shared — read-only.
+func (s *Snapshot) OutEdgeChunk(c int) (off []uint32, edges []EdgeID) {
+	ch := &s.out.chunks[c]
+	return ch.off, ch.data
+}
+
+// InEdgeChunk is OutEdgeChunk for the in-adjacency.
+func (s *Snapshot) InEdgeChunk(c int) (off []uint32, edges []EdgeID) {
+	ch := &s.in.chunks[c]
+	return ch.off, ch.data
+}
+
+// EndpointChunk exposes chunk c of the endpoint columns: the sources
+// and targets of edges c<<ChunkShift onward. Shared — read-only.
+func (s *Snapshot) EndpointChunk(c int) (src, dst []NodeID) {
+	return s.edgeSrc.chunkData(c), s.edgeDst.chunkData(c)
+}
+
+// NodePropWordChunk exposes chunk c of the presence bitset of property
+// name p as raw words: word j of the chunk covers nodes
+// ((c<<ChunkShift)+j)*64 onward, and bit v&63 of a node's word is set
+// iff live node v defines p. Words past the returned slice (nil when
+// the sym was never used as a node property name) are zero. Shared
+// with the snapshot — read-only.
+func (s *Snapshot) NodePropWordChunk(p Sym, c int) []uint64 {
 	if p < 0 || int(p) >= len(s.nodePropSet) {
 		return nil
 	}
-	return s.nodePropSet[p]
+	return s.nodePropSet[p].chunkData(c)
 }
 
 // OutDegree is the number of live outgoing edges of v.
-func (s *Snapshot) OutDegree(v NodeID) int {
-	return int(s.outOff[v+1] - s.outOff[v])
-}
+func (s *Snapshot) OutDegree(v NodeID) int { return s.out.rowLen(int(v)) }
 
 // NodePropCount is the number of properties of the live node v.
 func (s *Snapshot) NodePropCount(v NodeID) int {
-	return int(s.nodePropOff[v+1] - s.nodePropOff[v])
+	if !s.recBacked {
+		return s.nodeProps.rowLen(int(v))
+	}
+	return s.nodeRecs.rowLen(int(v))
 }
 
 // NodeHasProp reports whether the live node defines a property named p.
@@ -271,47 +309,33 @@ func (s *Snapshot) NodeHasProp(v NodeID, p Sym) bool {
 	if p < 0 || int(p) >= len(s.nodePropSet) {
 		return false
 	}
-	set := s.nodePropSet[p]
-	return set != nil && set[int(v)>>6]&(1<<(uint(v)&63)) != 0
+	set := &s.nodePropSet[p]
+	w := int(v) >> 6
+	return w < set.n && set.at(w)&(1<<(uint(v)&63)) != 0
 }
 
 // EdgePropBySym returns σ(e, p) for an interned property name, scanning
-// the edge's flat property row.
+// the edge's property row.
 func (s *Snapshot) EdgePropBySym(e EdgeID, p Sym) (values.Value, bool) {
-	lo, hi := s.edgePropOff[e], s.edgePropOff[e+1]
 	if s.recBacked {
-		for i := lo; i < hi; i++ {
-			if r := &s.edgePropRecs[i]; Sym(r.sym) == p {
-				return s.recValue(r), true
-			}
-		}
-		return values.Value{}, false
+		return s.recBySym(s.edgeRecs.row(int(e)), p)
 	}
-	props := s.edgeProps[lo:hi]
-	for i := range props {
-		if props[i].Sym == p {
-			return props[i].Value, true
-		}
-	}
-	return values.Value{}, false
+	return propBySym(s.edgeProps.row(int(e)), p)
 }
 
 // NodePropBySym returns σ(v, p) for an interned property name, scanning
-// the node's flat property row.
+// the node's property row.
 func (s *Snapshot) NodePropBySym(v NodeID, p Sym) (values.Value, bool) {
-	lo, hi := s.nodePropOff[v], s.nodePropOff[v+1]
 	if s.recBacked {
-		for i := lo; i < hi; i++ {
-			if r := &s.nodePropRecs[i]; Sym(r.sym) == p {
-				return s.recValue(r), true
-			}
-		}
-		return values.Value{}, false
+		return s.recBySym(s.nodeRecs.row(int(v)), p)
 	}
-	props := s.nodeProps[lo:hi]
-	for i := range props {
-		if props[i].Sym == p {
-			return props[i].Value, true
+	return propBySym(s.nodeProps.row(int(v)), p)
+}
+
+func (s *Snapshot) recBySym(recs []propRec, p Sym) (values.Value, bool) {
+	for i := range recs {
+		if r := &recs[i]; Sym(r.sym) == p {
+			return s.recValue(r), true
 		}
 	}
 	return values.Value{}, false

@@ -3,19 +3,16 @@ package pg
 import (
 	"maps"
 	"slices"
-
-	"pgschema/internal/values"
 )
 
 // The fold: Snapshot derives the snapshot of the graph's current state
 // from its base and the overlay of writes made since. The overlay names
 // exactly the rows that changed, so columns no write touched are shared
-// outright (slice aliasing is safe — snapshots are immutable) and
-// touched columns are rebuilt with bulk segment copies between dirty
-// rows: the cost is memcpy bandwidth plus O(dirty) row rebuilds. A graph
-// built through the mutation API folds onto an empty base, where every
-// row is appended. The fold only reads the graph, so concurrent readers
-// may run it.
+// outright, and a touched column shares every chunk no dirty row falls
+// in (column.go): the cost is one directory per touched column plus one
+// chunk per dirty row. A graph built through the mutation API folds
+// onto an empty base, where every row is appended. The fold only reads
+// the graph, so concurrent readers may run it.
 
 // patchPlan describes what the overlay changed, at the granularity the
 // fold needs: sorted dirty element lists (nodeDirty includes the
@@ -29,9 +26,6 @@ type patchPlan struct {
 	// or properties changed: the key indexes over them are patched, all
 	// others carried over as they are.
 	touchedLabels map[Sym]struct{}
-	// nodePropRows and edgePropRows are the lengths of the folded
-	// property columns.
-	nodePropRows, edgePropRows int
 
 	nodeLabelsChanged    bool
 	nodeAdjChanged       bool
@@ -50,8 +44,6 @@ const patchFraction = 8
 func (ov *overlay) plan(base *Snapshot) patchPlan {
 	p := patchPlan{
 		touchedLabels:        maps.Clone(ov.labels),
-		nodePropRows:         int(base.nodePropOff[ov.nodeBase]),
-		edgePropRows:         int(base.edgePropOff[ov.edgeBase]),
 		nodeLabelsChanged:    ov.nodesAdded || ov.nodesRelabeled || ov.nodesRemoved,
 		nodeAdjChanged:       ov.nodesAdded || ov.edgesAdded || ov.edgesRemoved,
 		nodePropsChanged:     ov.nodesAdded || ov.nodePropOps,
@@ -62,7 +54,6 @@ func (ov *overlay) plan(base *Snapshot) patchPlan {
 	nodeSet := make(map[NodeID]struct{}, len(ov.nodes)+2*len(ov.edges))
 	for v, r := range ov.nodes {
 		nodeSet[v] = struct{}{}
-		p.nodePropRows += len(r.props) - base.NodePropCount(v)
 		if r.touched && r.label != NoSym {
 			p.touchedLabels[r.label] = struct{}{}
 		}
@@ -71,8 +62,6 @@ func (ov *overlay) plan(base *Snapshot) patchPlan {
 	for e, r := range ov.edges {
 		nodeSet[r.src] = struct{}{}
 		nodeSet[r.dst] = struct{}{}
-		lo, hi := base.EdgePropRow(e)
-		p.edgePropRows += len(r.props) - (hi - lo)
 		p.edgeDirty = append(p.edgeDirty, e)
 	}
 	slices.Sort(p.edgeDirty)
@@ -83,14 +72,12 @@ func (ov *overlay) plan(base *Snapshot) patchPlan {
 	slices.Sort(p.nodeDirty)
 	for i := range ov.newNodes {
 		p.nodeDirty = append(p.nodeDirty, NodeID(ov.nodeBase+i))
-		p.nodePropRows += len(ov.newNodes[i].props)
 		if ls := ov.newNodes[i].label; ls != NoSym {
 			p.touchedLabels[ls] = struct{}{}
 		}
 	}
 	for i := range ov.newEdges {
 		p.edgeDirty = append(p.edgeDirty, EdgeID(ov.edgeBase+i))
-		p.edgePropRows += len(ov.newEdges[i].props)
 	}
 	return p
 }
@@ -116,25 +103,35 @@ func (g *Graph) fold() *Snapshot {
 	return g.patch(base.onHeap(), ov, &p)
 }
 
-// onHeap returns s with its property rows read into heap columns
-// through NodePropAt/EdgePropAt; every other column is shared.
+// onHeap returns s with its property rows decoded into heap columns,
+// chunk by chunk; every other column is shared.
 func (s *Snapshot) onHeap() *Snapshot {
 	if !s.recBacked {
 		return s
 	}
 	h := *s
 	h.recBacked = false
-	h.nodeProps = make([]Prop, len(s.nodePropRecs))
-	for i := range h.nodeProps {
-		h.nodeProps[i] = s.NodePropAt(i)
-	}
-	h.edgeProps = make([]Prop, len(s.edgePropRecs))
-	for i := range h.edgeProps {
-		h.edgeProps[i] = s.EdgePropAt(i)
-	}
-	h.nodePropRecs, h.edgePropRecs = nil, nil
-	h.propArena, h.propOver, h.propLists = nil, nil, nil
+	h.nodeProps, h.edgeProps = s.decodeRows(&s.nodeRecs), s.decodeRows(&s.edgeRecs)
+	h.nodeRecs, h.edgeRecs = col[propRec]{}, col[propRec]{}
+	h.propArena, h.propOver, h.overTip, h.propLists, h.listTip = nil, nil, nil, nil, nil
 	return &h
+}
+
+func (s *Snapshot) decodeRows(recs *col[propRec]) col[Prop] {
+	out := col[Prop]{n: recs.n, rows: recs.rows, chunks: make([]chunk[Prop], len(recs.chunks))}
+	for i, ch := range recs.chunks {
+		base := ch.off[0]
+		off := make([]uint32, len(ch.off))
+		for j, o := range ch.off {
+			off[j] = o - base
+		}
+		data := make([]Prop, off[len(off)-1])
+		for j := range data {
+			data[j] = s.recProp(&ch.data[int(base)+j])
+		}
+		out.chunks[i] = chunk[Prop]{off: off, data: data}
+	}
+	return out
 }
 
 // patch builds the folded snapshot from old under plan p, reading dirty
@@ -143,215 +140,121 @@ func (s *Snapshot) onHeap() *Snapshot {
 // form cannot encode.
 func (g *Graph) patch(old *Snapshot, ov *overlay, p *patchPlan) *Snapshot {
 	nn, ne := ov.nodeBase+len(ov.newNodes), ov.edgeBase+len(ov.newEdges)
-	s := &Snapshot{
-		epoch:     g.epoch,
-		liveNodes: ov.liveNodes,
-		liveEdges: ov.liveEdges,
-		symNames:  g.cappedSymNames(),
-		mapping:   old.mapping,
-	}
-	if old.recBacked {
-		// Folding onto a mapped snapshot keeps the record
-		// representation: clean rows stay aliased to the mapping, dirty
-		// rows re-encode into a private overflow arena (copied fresh per
-		// fold so the old snapshot, which Undo may retain, stays
-		// immutable).
-		s.recBacked = true
-		s.propArena = old.propArena
-		s.propOver = old.propOver
-		s.propLists = old.propLists
-		if p.nodePropsChanged || p.edgePropsChanged {
-			over := make([]byte, len(old.propOver), len(old.propOver)+4096)
-			copy(over, old.propOver)
-			s.propOver = over
-			s.propLists = append([]values.Value(nil), old.propLists...)
-		}
-	}
-
-	s.nodeLabels = old.nodeLabels
+	s := *old // shares every column; the fold replaces the ones it touches
+	s.epoch, s.liveNodes, s.liveEdges, s.symNames = g.epoch, ov.liveNodes, ov.liveEdges, g.cappedSymNames()
 	if p.nodeLabelsChanged {
-		s.nodeLabels = make([]Sym, nn)
-		copy(s.nodeLabels, old.nodeLabels)
-		for _, v := range p.nodeDirty {
-			s.nodeLabels[v] = g.NodeLabelSym(v)
-		}
+		s.nodeLabels = patchCol(old.nodeLabels, p.nodeDirty, nn, func(v int) Sym { return g.NodeLabelSym(NodeID(v)) })
 	}
-
-	s.edgeLabels = old.edgeLabels
 	if p.edgeLabelsChanged || p.edgeEndpointsChanged {
-		s.edgeLabels = make([]Sym, ne)
-		copy(s.edgeLabels, old.edgeLabels)
-		for _, e := range p.edgeDirty {
-			s.edgeLabels[e] = g.EdgeLabelSym(e)
-		}
+		s.edgeLabels = patchCol(old.edgeLabels, p.edgeDirty, ne, func(e int) Sym { return g.EdgeLabelSym(EdgeID(e)) })
 	}
-
-	s.edgeSrc, s.edgeDst = old.edgeSrc, old.edgeDst
 	if p.edgeEndpointsChanged {
-		s.edgeSrc = make([]NodeID, ne)
-		copy(s.edgeSrc, old.edgeSrc)
-		s.edgeDst = make([]NodeID, ne)
-		copy(s.edgeDst, old.edgeDst)
-		for _, e := range p.edgeDirty {
-			s.edgeSrc[e], s.edgeDst[e] = g.Endpoints(e)
-		}
+		s.edgeSrc = patchCol(old.edgeSrc, p.edgeDirty, ne, func(e int) NodeID { src, _ := g.Endpoints(EdgeID(e)); return src })
+		s.edgeDst = patchCol(old.edgeDst, p.edgeDirty, ne, func(e int) NodeID { _, dst := g.Endpoints(EdgeID(e)); return dst })
 	}
-
-	s.outOff, s.outEdges = old.outOff, old.outEdges
-	s.inOff, s.inEdges = old.inOff, old.inEdges
 	if p.nodeAdjChanged {
-		s.outOff, s.outEdges = patchRows(old.outOff, old.outEdges, p.nodeDirty, nn, ov.liveEdges,
-			func(v int, list []EdgeID) []EdgeID { return append(list, g.OutEdgesRaw(NodeID(v))...) })
-		s.inOff, s.inEdges = patchRows(old.inOff, old.inEdges, p.nodeDirty, nn, ov.liveEdges,
-			func(v int, list []EdgeID) []EdgeID { return append(list, g.InEdgesRaw(NodeID(v))...) })
+		s.out = patchRows(old.out, p.nodeDirty, nn, func(v int) []EdgeID { return g.OutEdgesRaw(NodeID(v)) }, appendRow[EdgeID])
+		s.in = patchRows(old.in, p.nodeDirty, nn, func(v int) []EdgeID { return g.InEdgesRaw(NodeID(v)) }, appendRow[EdgeID])
 	}
-
+	if p.nodePropsChanged {
+		s.nodePropSet = g.patchPropSets(old, p.nodeDirty)
+	}
 	nodeRow := func(v int) []Prop { return g.NodeProps(NodeID(v)) }
 	edgeRow := func(e int) []Prop { return g.EdgeProps(EdgeID(e)) }
-
-	s.nodePropOff, s.nodeProps, s.nodePropRecs = old.nodePropOff, old.nodeProps, old.nodePropRecs
-	s.nodePropSet = old.nodePropSet
-	if p.nodePropsChanged {
-		if old.recBacked {
-			var ok bool
-			if s.nodePropOff, s.nodePropRecs, ok = patchRecs(s, old.nodePropOff, old.nodePropRecs, p.nodeDirty, nn, p.nodePropRows, nodeRow); !ok {
-				return nil
-			}
-		} else {
-			s.nodePropOff, s.nodeProps = patchRows(old.nodePropOff, old.nodeProps, p.nodeDirty, nn, p.nodePropRows, appendRow(nodeRow))
+	if !old.recBacked {
+		if p.nodePropsChanged {
+			s.nodeProps = patchRows(old.nodeProps, p.nodeDirty, nn, nodeRow, appendRow[Prop])
 		}
-		s.nodePropSet = g.patchPropSets(old.nodePropSet, p.nodeDirty, len(old.nodeLabels), nn)
-	}
-
-	s.edgePropOff, s.edgeProps, s.edgePropRecs = old.edgePropOff, old.edgeProps, old.edgePropRecs
-	if p.edgePropsChanged {
-		if old.recBacked {
-			var ok bool
-			if s.edgePropOff, s.edgePropRecs, ok = patchRecs(s, old.edgePropOff, old.edgePropRecs, p.edgeDirty, ne, p.edgePropRows, edgeRow); !ok {
-				return nil
+		if p.edgePropsChanged {
+			s.edgeProps = patchRows(old.edgeProps, p.edgeDirty, ne, edgeRow, appendRow[Prop])
+		}
+	} else if p.nodePropsChanged || p.edgePropsChanged {
+		// Clean record rows stay aliased (their arena-0 payloads point
+		// into the shared mapped arena); dirty rows encode into the
+		// overflow arena and list table, appended in place from their
+		// tips.
+		over, overClaimed := extend(old.propOver, old.overTip)
+		lists, listsClaimed := extend(old.propLists, old.listTip)
+		enc := recEncoder{arenaID: 1, arena: over, lists: lists}
+		ok := true
+		put := func(data []propRec, row []Prop) []propRec {
+			enc.recs = data
+			if err := enc.addAll(row); err != nil {
+				ok = false
 			}
-		} else {
-			s.edgePropOff, s.edgeProps = patchRows(old.edgePropOff, old.edgeProps, p.edgeDirty, ne, p.edgePropRows, appendRow(edgeRow))
+			return enc.recs
+		}
+		if p.nodePropsChanged {
+			s.nodeRecs = patchRows(old.nodeRecs, p.nodeDirty, nn, nodeRow, put)
+		}
+		if p.edgePropsChanged {
+			s.edgeRecs = patchRows(old.edgeRecs, p.edgeDirty, ne, edgeRow, put)
+		}
+		if !ok {
+			enc.arena, enc.lists = old.propOver, old.propLists // release the tips unmoved
+		}
+		s.propOver, s.overTip = enc.arena, settleTip(old.overTip, overClaimed, old.propOver, enc.arena)
+		s.propLists, s.listTip = enc.lists, settleTip(old.listTip, listsClaimed, old.propLists, enc.lists)
+		if !ok {
+			return nil
 		}
 	}
-
-	s.idx = old.idx.patchIndexes(old, s, p)
-	return s
+	s.idx = old.idx.patchIndexes(old, &s, p)
+	return &s
 }
 
-// patchRows rebuilds one flattened column — per-element offsets over a
-// flat row array of size rows in all — for a new bound of n elements.
-// Rows of clean pre-existing elements are copied in bulk segments
-// between dirty ones (their contents are unchanged); rebuild appends
-// the current row of a dirty element, or of one past the old bound,
-// and returns the grown array.
-func patchRows[T any, ID ~int](oldOff []uint32, oldRows []T, dirty []ID, n, size int, rebuild func(i int, rows []T) []T) ([]uint32, []T) {
-	oldN := len(oldOff) - 1
-	off := make([]uint32, n+1)
-	rows := make([]T, 0, size)
+func appendRow[T any](data, row []T) []T { return append(data, row...) }
 
-	put := func(i int) {
-		rows = rebuild(i, rows)
-		off[i+1] = uint32(len(rows))
+// patchPropSets re-derives the presence bitsets across the dirty nodes
+// (ascending): every (node, sym) bit that differs between old's row and
+// the node's current one flips, and only the word chunks holding a
+// flipped bit are copied. Syms interned since old get sets lazily,
+// exactly like a fresh build.
+func (g *Graph) patchPropSets(old *Snapshot, dirty []NodeID) []col[uint64] {
+	sets := make([]col[uint64], len(g.syms.names))
+	copy(sets, old.nodePropSet)
+	flips := make(map[Sym][]NodeID)
+	has := func(props []Prop, p Sym) bool {
+		return slices.ContainsFunc(props, func(q Prop) bool { return q.Sym == p })
 	}
-	copySeg := func(from, to int) {
-		if from >= to {
-			return
+	for _, v := range dirty {
+		var cur, was []Prop
+		if g.NodeLabelSym(v) != NoSym {
+			cur = g.NodeProps(v)
 		}
-		shift := off[from] - oldOff[from]
-		rows = append(rows, oldRows[oldOff[from]:oldOff[to]]...)
-		if shift == 0 {
-			copy(off[from+1:to+1], oldOff[from+1:to+1])
-		} else {
-			for k := from; k < to; k++ {
-				off[k+1] = oldOff[k+1] + shift
+		if int(v) < old.NodeBound() && old.NodeLabelSym(v) != NoSym {
+			was = old.NodePropsOf(v)
+		}
+		for _, q := range cur {
+			if !has(was, q.Sym) {
+				flips[q.Sym] = append(flips[q.Sym], v)
+			}
+		}
+		for _, q := range was {
+			if !has(cur, q.Sym) {
+				flips[q.Sym] = append(flips[q.Sym], v)
 			}
 		}
 	}
-
-	prev := 0
-	for _, d := range dirty {
-		i := int(d)
-		if i >= oldN {
-			break
-		}
-		copySeg(prev, i)
-		put(i)
-		prev = i + 1
-	}
-	copySeg(prev, oldN)
-	for i := oldN; i < n; i++ {
-		put(i)
-	}
-	return off, rows
-}
-
-// appendRow adapts a row getter to patchRows' rebuild callback for
-// heap property rows.
-func appendRow(row func(int) []Prop) func(int, []Prop) []Prop {
-	return func(i int, rows []Prop) []Prop { return append(rows, row(i)...) }
-}
-
-// patchRecs is patchRows over a record-backed property column: clean
-// record rows are bulk-copied (their arena-0 payloads stay valid —
-// they point into the shared mapped arena), dirty rows re-encode into
-// the folded snapshot's private overflow arena and list table. Returns
-// ok=false when a value cannot be encoded.
-func patchRecs[ID ~int](s *Snapshot, oldOff []uint32, oldRecs []propRec, dirty []ID, n, size int, row func(int) []Prop) ([]uint32, []propRec, bool) {
-	enc := recEncoder{arenaID: 1, arena: s.propOver, lists: s.propLists}
-	encOK := true
-	off, recs := patchRows(oldOff, oldRecs, dirty, n, size, func(i int, recs []propRec) []propRec {
-		enc.recs = recs
-		if err := enc.addAll(row(i)); err != nil {
-			encOK = false
-		}
-		return enc.recs
-	})
-	s.propOver = enc.arena
-	s.propLists = enc.lists
-	return off, recs, encOK
-}
-
-// patchPropSets re-derives the per-sym property presence bitsets: copy
-// every old set into word arrays sized for the new node bound, clear
-// the dirty pre-existing nodes' bits everywhere, then re-set bits from
-// the dirty live nodes' current property lists. Syms interned since the
-// old snapshot get entries lazily, exactly like a fresh build.
-func (g *Graph) patchPropSets(old [][]uint64, dirty []NodeID, oldNN, nn int) [][]uint64 {
-	words := (nn + 63) / 64
-	sets := make([][]uint64, len(g.syms.names))
-	for sym, set := range old {
-		if set == nil {
-			continue
-		}
-		ns := make([]uint64, words)
-		copy(ns, set)
-		sets[sym] = ns
-	}
-	for _, d := range dirty {
-		if int(d) >= oldNN {
-			break // appended nodes start with no bits
-		}
-		w, bit := int(d)>>6, uint64(1)<<(uint(d)&63)
-		for _, set := range sets {
-			if set != nil {
-				set[w] &^= bit
+	for sym, vs := range flips {
+		var words []int
+		var masks []uint64
+		for _, v := range vs {
+			w, bit := int(v)>>6, uint64(1)<<(uint(v)&63)
+			if n := len(words); n > 0 && words[n-1] == w {
+				masks[n-1] ^= bit
+			} else {
+				words, masks = append(words, w), append(masks, bit)
 			}
 		}
-	}
-	for _, d := range dirty {
-		if g.NodeLabelSym(d) == NoSym {
-			continue
-		}
-		w, bit := int(d)>>6, uint64(1)<<(uint(d)&63)
-		for _, p := range g.NodeProps(d) {
-			set := sets[p.Sym]
-			if set == nil {
-				set = make([]uint64, words)
-				sets[p.Sym] = set
+		set := sets[sym]
+		sets[sym] = patchCol(set, words, max(set.n, words[len(words)-1]+1), func(w int) uint64 {
+			i, _ := slices.BinarySearch(words, w)
+			if w < set.n {
+				return set.at(w) ^ masks[i]
 			}
-			set[w] |= bit
-		}
+			return masks[i]
+		})
 	}
 	return sets
 }

@@ -51,13 +51,13 @@ func TestPatchSharesUntouchedColumns(t *testing.T) {
 	if s == nil || s.Epoch() != g.Epoch() {
 		t.Fatal("expected a patched snapshot to be installed")
 	}
-	if &s.nodeLabels[0] != &old.nodeLabels[0] {
+	if &s.nodeLabels.chunks[0].data[0] != &old.nodeLabels.chunks[0].data[0] {
 		t.Error("node label column should be shared")
 	}
-	if &s.outEdges[0] != &old.outEdges[0] || &s.outOff[0] != &old.outOff[0] {
+	if &s.out.chunks[0].data[0] != &old.out.chunks[0].data[0] || &s.out.chunks[0].off[0] != &old.out.chunks[0].off[0] {
 		t.Error("adjacency columns should be shared")
 	}
-	if &s.edgeSrc[0] != &old.edgeSrc[0] {
+	if &s.edgeSrc.chunks[0].data[0] != &old.edgeSrc.chunks[0].data[0] {
 		t.Error("edge endpoint column should be shared")
 	}
 	snapEqual(t, s, rebuilt(g))

@@ -125,15 +125,18 @@ func TestSnapshotEmptyGraph(t *testing.T) {
 	}
 }
 
-// TestSnapshotKernelAccessors covers the flat accessors the branch-free
-// validation kernels walk: whole label columns, per-property presence
-// bitsets, and the O(1) degree/property counts derived from the CSR
-// offsets.
+// TestSnapshotKernelAccessors covers the chunk accessors the
+// branch-free validation kernels walk: label column chunks, per-property
+// presence bitset chunks, and the O(1) degree/property counts derived
+// from the CSR offsets.
 func TestSnapshotKernelAccessors(t *testing.T) {
 	g, a, b, c, e1, _ := snapGraph(t)
 	s := g.Snapshot()
 
-	nodeCol := s.NodeLabelColumn()
+	var nodeCol, edgeCol []Sym
+	for c := 0; s.NodeLabelChunk(c) != nil; c++ {
+		nodeCol = append(nodeCol, s.NodeLabelChunk(c)...)
+	}
 	if len(nodeCol) != s.NodeBound() {
 		t.Fatalf("node label column has %d entries, bound %d", len(nodeCol), s.NodeBound())
 	}
@@ -142,7 +145,9 @@ func TestSnapshotKernelAccessors(t *testing.T) {
 			t.Fatalf("node column[%d] = %v, accessor %v", v, nodeCol[v], s.NodeLabelSym(NodeID(v)))
 		}
 	}
-	edgeCol := s.EdgeLabelColumn()
+	for c := 0; s.EdgeLabelChunk(c) != nil; c++ {
+		edgeCol = append(edgeCol, s.EdgeLabelChunk(c)...)
+	}
 	if len(edgeCol) != s.EdgeBound() {
 		t.Fatalf("edge label column has %d entries, bound %d", len(edgeCol), s.EdgeBound())
 	}
@@ -157,7 +162,7 @@ func TestSnapshotKernelAccessors(t *testing.T) {
 	if !ok {
 		t.Fatal("name not interned")
 	}
-	words := s.NodePropWords(nameSym)
+	words := s.NodePropWordChunk(nameSym, 0)
 	if words == nil {
 		t.Fatal("no presence words for an existing property name")
 	}
@@ -168,11 +173,14 @@ func TestSnapshotKernelAccessors(t *testing.T) {
 			t.Fatalf("presence bit for node %d = %v, lookup = %v", v, got, want)
 		}
 	}
-	if s.NodePropWords(NoSym) != nil {
-		t.Error("NodePropWords(NoSym) should be nil")
+	if s.NodePropWordChunk(NoSym, 0) != nil {
+		t.Error("NodePropWordChunk(NoSym) should be nil")
 	}
-	if s.NodePropWords(Sym(1<<20)) != nil {
-		t.Error("NodePropWords(out of range) should be nil")
+	if s.NodePropWordChunk(Sym(1<<20), 0) != nil {
+		t.Error("NodePropWordChunk(out of range) should be nil")
+	}
+	if s.NodePropWordChunk(nameSym, 1) != nil {
+		t.Error("NodePropWordChunk past the node bound should be nil")
 	}
 
 	// Degree and property counts match the slice accessors.

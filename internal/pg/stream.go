@@ -45,7 +45,7 @@ func ReadCSVStreamContext(ctx context.Context, nodes, edges io.Reader) (*Graph, 
 	if err := sb.readNodes(ctx, nodes, readerSize(nodes)); err != nil {
 		return nil, err
 	}
-	if err := sb.readEdges(ctx, edges, readerSize(edges)); err != nil {
+	if err := sb.readEdges(ctx, edges); err != nil {
 		return nil, err
 	}
 	return sb.seal(), nil
@@ -342,41 +342,34 @@ func (t *idTable) lookup(id string) (NodeID, bool) {
 	}
 }
 
-// streamBuilder accumulates a graph as the columnar arrays a Snapshot
-// is made of. Memory stays bounded by the output: rows are parsed
-// straight off the csv reader into the columns, so no intermediate
-// per-row structures outlive a batch.
+// streamBuilder accumulates a graph as the chunked columns a Snapshot
+// is made of, each chunk sealed at its exact size (colBuilder). Memory
+// stays bounded by the output: rows are parsed straight off the csv
+// reader into the columns, so no intermediate per-row structures
+// outlive a batch.
 type streamBuilder struct {
 	syms   symbols
 	byName idTable
 
-	// Node columns: label per node, flattened sorted property rows.
-	nodeLabels  []Sym
-	nodeProps   []Prop
-	nodePropOff []uint32
+	// Node columns: label per node, sorted property rows.
+	nodeLabels colBuilder[Sym]
+	nodeProps  colBuilder[Prop]
 
-	// Edge columns: endpoints and label per edge, flattened properties,
-	// and per-node degree counters for the CSR counting sort.
-	edgeLabels  []Sym
-	edgeSrc     []NodeID
-	edgeDst     []NodeID
-	edgeProps   []Prop
-	edgePropOff []uint32
-	outDeg      []uint32
-	inDeg       []uint32
+	// Edge columns: endpoints, label and property row per edge, and
+	// per-node degree counters for the CSR counting sort.
+	edgeLabels colBuilder[Sym]
+	edgeSrc    colBuilder[NodeID]
+	edgeDst    colBuilder[NodeID]
+	edgeProps  colBuilder[Prop]
+	outDeg     []uint32
+	inDeg      []uint32
 
 	// Run-length label cache: consecutive rows of one label intern once.
 	lastLabel string
 	lastSym   Sym
 }
 
-func newStreamBuilder() *streamBuilder {
-	return &streamBuilder{
-		nodePropOff: []uint32{0},
-		edgePropOff: []uint32{0},
-		lastSym:     NoSym,
-	}
-}
+func newStreamBuilder() *streamBuilder { return &streamBuilder{lastSym: NoSym} }
 
 // internLabel interns a node/edge label with a run-length cache.
 func (sb *streamBuilder) internLabel(label string) Sym {
@@ -386,36 +379,14 @@ func (sb *streamBuilder) internLabel(label string) Sym {
 	return sb.lastSym
 }
 
-// reserveNodes grows the node columns and the id table toward the
-// projected final row count: one allocation now instead of the
-// geometric re-copies (and re-zeroing) of append growth, which profiles
-// as the top loader cost at 10⁶ rows. The estimate is only a hint —
-// a wrong projection costs slack or leftover growth, never correctness.
+// reserveNodes grows the id table toward the projected final row
+// count: one allocation now instead of the rehashes of its growth. The
+// estimate is only a hint — a wrong projection costs slack or leftover
+// growth, never correctness. The columns need no reservation: they
+// grow a chunk at a time.
 func (sb *streamBuilder) reserveNodes(est int) {
-	rows := len(sb.nodeLabels)
-	if rows == 0 || est <= rows {
-		return
-	}
-	sb.nodeLabels = slices.Grow(sb.nodeLabels, est-rows)
-	sb.nodePropOff = slices.Grow(sb.nodePropOff, est+1-len(sb.nodePropOff))
-	if estProps := len(sb.nodeProps) / rows * est; estProps > len(sb.nodeProps) {
-		sb.nodeProps = slices.Grow(sb.nodeProps, estProps-len(sb.nodeProps))
-	}
-	sb.byName.reserve(est)
-}
-
-// reserveEdges is reserveNodes for the edge columns.
-func (sb *streamBuilder) reserveEdges(est int) {
-	rows := len(sb.edgeLabels)
-	if rows == 0 || est <= rows {
-		return
-	}
-	sb.edgeLabels = slices.Grow(sb.edgeLabels, est-rows)
-	sb.edgeSrc = slices.Grow(sb.edgeSrc, est-rows)
-	sb.edgeDst = slices.Grow(sb.edgeDst, est-rows)
-	sb.edgePropOff = slices.Grow(sb.edgePropOff, est+1-len(sb.edgePropOff))
-	if estProps := len(sb.edgeProps) / rows * est; estProps > len(sb.edgeProps) {
-		sb.edgeProps = slices.Grow(sb.edgeProps, estProps-len(sb.edgeProps))
+	if rows := sb.nodeLabels.c.n; rows > 0 && est > rows {
+		sb.byName.reserve(est)
 	}
 }
 
@@ -424,10 +395,10 @@ func (sb *streamBuilder) reserveEdges(est int) {
 // duplicate check rides the insert itself, so each node costs one hash
 // operation, not two.
 func (sb *streamBuilder) addNodeMeta(id, label string, line int) error {
-	if !sb.byName.insert(id, NodeID(len(sb.nodeLabels))) {
+	if !sb.byName.insert(id, NodeID(sb.nodeLabels.c.n)) {
 		return fmt.Errorf("pg: node CSV line %d: duplicate node id %q", line, id)
 	}
-	sb.nodeLabels = append(sb.nodeLabels, sb.internLabel(label))
+	sb.nodeLabels.add(sb.internLabel(label))
 	return nil
 }
 
@@ -485,8 +456,9 @@ func (sb *streamBuilder) readNodes(ctx context.Context, r io.Reader, size int64)
 			if err := sb.addNodeMeta(rec[0], rec[1], line); err != nil {
 				return err
 			}
-			sb.nodeProps = cols.parseRowInto(sb.nodeProps, rec, len(sb.nodeProps))
-			sb.nodePropOff = append(sb.nodePropOff, uint32(len(sb.nodeProps)))
+			np := &sb.nodeProps
+			np.cur.data = cols.parseRowInto(np.cur.data, rec, len(np.cur.data))
+			np.endRow()
 			return nil
 		})
 	}
@@ -516,7 +488,7 @@ func (sb *streamBuilder) readNodes(ctx context.Context, r io.Reader, size int64)
 			return err
 		}
 		b := pb.(*streamNodeBatch)
-		first := len(sb.nodeLabels) == 0
+		first := sb.nodeLabels.c.n == 0
 		for i := range b.ids {
 			if b.errs != nil && b.errs[i] != nil {
 				return b.errs[i]
@@ -524,8 +496,9 @@ func (sb *streamBuilder) readNodes(ctx context.Context, r io.Reader, size int64)
 			if err := sb.addNodeMeta(b.ids[i], b.labels[i], b.lines[i]); err != nil {
 				return err
 			}
-			sb.nodeProps = append(sb.nodeProps, b.props[b.off[i]:b.off[i+1]]...)
-			sb.nodePropOff = append(sb.nodePropOff, uint32(len(sb.nodeProps)))
+			np := &sb.nodeProps
+			np.cur.data = append(np.cur.data, b.props[b.off[i]:b.off[i+1]]...)
+			np.endRow()
 		}
 		if first {
 			sb.reserveNodes(projectRows(len(b.ids), b.consumed, size))
@@ -535,15 +508,15 @@ func (sb *streamBuilder) readNodes(ctx context.Context, r io.Reader, size int64)
 	return readCSVRecords(cr, parse, apply, nodeReadErr)
 }
 
-func (sb *streamBuilder) readEdges(ctx context.Context, r io.Reader, size int64) error {
+func (sb *streamBuilder) readEdges(ctx context.Context, r io.Reader) error {
 	cr, header, err := openCSV(r)
 	if err := checkEdgeHeader(header, err); err != nil {
 		return err
 	}
 	cols := newPropCols(&sb.syms, header, 3)
 	sb.lastLabel, sb.lastSym = "", NoSym
-	sb.outDeg = make([]uint32, len(sb.nodeLabels))
-	sb.inDeg = make([]uint32, len(sb.nodeLabels))
+	sb.outDeg = make([]uint32, sb.nodeLabels.c.n)
+	sb.inDeg = make([]uint32, sb.nodeLabels.c.n)
 
 	if csvWorkers() == 1 {
 		// Bulk exports are usually grouped by source, so a run-length
@@ -557,9 +530,6 @@ func (sb *streamBuilder) readEdges(ctx context.Context, r io.Reader, size int64)
 				return err
 			}
 			row++
-			if row == csvBatchRows {
-				sb.reserveEdges(projectRows(row, cr.InputOffset(), size))
-			}
 			if err := checkEdgeRecord(rec, len(cols.names), line); err != nil {
 				return err
 			}
@@ -568,8 +538,9 @@ func (sb *streamBuilder) readEdges(ctx context.Context, r io.Reader, size int64)
 				return err
 			}
 			sb.addEdgeMeta(src, dst, rec[2])
-			sb.edgeProps = cols.parseRowInto(sb.edgeProps, rec, len(sb.edgeProps))
-			sb.edgePropOff = append(sb.edgePropOff, uint32(len(sb.edgeProps)))
+			ep := &sb.edgeProps
+			ep.cur.data = cols.parseRowInto(ep.cur.data, rec, len(ep.cur.data))
+			ep.endRow()
 			return nil
 		})
 	}
@@ -606,17 +577,14 @@ func (sb *streamBuilder) readEdges(ctx context.Context, r io.Reader, size int64)
 			return err
 		}
 		b := pb.(*streamEdgeBatch)
-		first := len(sb.edgeLabels) == 0
 		for i := range b.srcs {
 			if b.errs != nil && b.errs[i] != nil {
 				return b.errs[i]
 			}
 			sb.addEdgeMeta(b.srcs[i], b.dsts[i], b.labels[i])
-			sb.edgeProps = append(sb.edgeProps, b.props[b.off[i]:b.off[i+1]]...)
-			sb.edgePropOff = append(sb.edgePropOff, uint32(len(sb.edgeProps)))
-		}
-		if first {
-			sb.reserveEdges(projectRows(len(b.srcs), b.consumed, size))
+			ep := &sb.edgeProps
+			ep.cur.data = append(ep.cur.data, b.props[b.off[i]:b.off[i+1]]...)
+			ep.endRow()
 		}
 		return nil
 	}
@@ -659,9 +627,9 @@ func (c *endpointCache) resolve(byName *idTable, rec []string, line int) (src, d
 // counts degrees for the CSR counting sort. Endpoints were resolved
 // through byName, so they are always valid.
 func (sb *streamBuilder) addEdgeMeta(src, dst NodeID, label string) {
-	sb.edgeLabels = append(sb.edgeLabels, sb.internLabel(label))
-	sb.edgeSrc = append(sb.edgeSrc, src)
-	sb.edgeDst = append(sb.edgeDst, dst)
+	sb.edgeLabels.add(sb.internLabel(label))
+	sb.edgeSrc.add(src)
+	sb.edgeDst.add(dst)
 	sb.outDeg[src]++
 	sb.inDeg[dst]++
 }
@@ -708,67 +676,78 @@ func (b *streamEdgeBatch) setErr(i int, err error) {
 
 // seal finishes the columns into a loaded graph (newLoadedGraph): the
 // sealed snapshot, as OpenSnapshot returns. The CSR adjacency comes
-// from a counting sort over the edge columns (prefix-summed degrees,
-// then a fill in ascending edge-id order, the order every snapshot
-// keeps). The snapshot takes ownership of the builder's columns.
+// from a counting sort over the edge columns (per-chunk prefix-summed
+// degrees, then a fill in ascending edge-id order, the order every
+// snapshot keeps), each chunk allocated at its exact size. The
+// snapshot takes ownership of the builder's columns.
 func (sb *streamBuilder) seal() *Graph {
-	nn, ne := len(sb.nodeLabels), len(sb.edgeLabels)
+	nodeLabels, nodeProps := sb.nodeLabels.done(), sb.nodeProps.done()
+	edgeLabels, edgeSrc, edgeDst, edgeProps := sb.edgeLabels.done(), sb.edgeSrc.done(), sb.edgeDst.done(), sb.edgeProps.done()
+	nn := nodeLabels.n
 	if sb.outDeg == nil {
 		sb.outDeg = make([]uint32, nn)
 		sb.inDeg = make([]uint32, nn)
 	}
-
-	outOff := make([]uint32, nn+1)
-	inOff := make([]uint32, nn+1)
-	for v := 0; v < nn; v++ {
-		outOff[v+1] = outOff[v] + sb.outDeg[v]
-		inOff[v+1] = inOff[v] + sb.inDeg[v]
-	}
-	outEdges := make([]EdgeID, ne)
-	inEdges := make([]EdgeID, ne)
-	outNext, inNext := sb.outDeg, sb.inDeg // reuse the counters as fill cursors
-	copy(outNext, outOff[:nn])
-	copy(inNext, inOff[:nn])
-	for e := 0; e < ne; e++ {
-		s, d := sb.edgeSrc[e], sb.edgeDst[e]
-		outEdges[outNext[s]] = EdgeID(e)
-		outNext[s]++
-		inEdges[inNext[d]] = EdgeID(e)
-		inNext[d]++
-	}
+	out := adjacency(nn, sb.outDeg, &edgeSrc)
+	in := adjacency(nn, sb.inDeg, &edgeDst)
 
 	words := (nn + 63) / 64
-	nodePropSet := make([][]uint64, len(sb.syms.names))
+	flat := make([][]uint64, len(sb.syms.names))
 	for v := 0; v < nn; v++ {
-		for _, p := range sb.nodeProps[sb.nodePropOff[v]:sb.nodePropOff[v+1]] {
-			set := nodePropSet[p.Sym]
+		for _, p := range nodeProps.row(v) {
+			set := flat[p.Sym]
 			if set == nil {
 				set = make([]uint64, words)
-				nodePropSet[p.Sym] = set
+				flat[p.Sym] = set
 			}
 			set[v>>6] |= 1 << (uint(v) & 63)
+		}
+	}
+	nodePropSet := make([]col[uint64], len(flat))
+	for sym, set := range flat {
+		if set != nil {
+			nodePropSet[sym] = fixedCol(set)
 		}
 	}
 
 	names := len(sb.syms.names)
 	return newLoadedGraph(&Snapshot{
 		idx:         newSnapIndexes(),
-		epoch:       uint64(nn + ne),
+		epoch:       uint64(nn + edgeLabels.n),
 		liveNodes:   nn,
-		liveEdges:   ne,
+		liveEdges:   edgeLabels.n,
 		symNames:    sb.syms.names[:names:names],
-		nodeLabels:  sb.nodeLabels,
-		edgeLabels:  sb.edgeLabels,
-		edgeSrc:     sb.edgeSrc,
-		edgeDst:     sb.edgeDst,
-		outOff:      outOff,
-		outEdges:    outEdges,
-		inOff:       inOff,
-		inEdges:     inEdges,
-		nodePropOff: sb.nodePropOff,
-		nodeProps:   sb.nodeProps,
-		edgePropOff: sb.edgePropOff,
-		edgeProps:   sb.edgeProps,
+		nodeLabels:  nodeLabels,
+		edgeLabels:  edgeLabels,
+		edgeSrc:     edgeSrc,
+		edgeDst:     edgeDst,
+		out:         out,
+		in:          in,
+		nodeProps:   nodeProps,
+		edgeProps:   edgeProps,
 		nodePropSet: nodePropSet,
 	}, sb.syms, nil)
+}
+
+// adjacency builds one CSR row column over nn nodes from each node's
+// degree and each edge's endpoint on that side, filling rows in edge-id
+// order. deg is reused as the fill cursors.
+func adjacency(nn int, deg []uint32, end *col[NodeID]) col[EdgeID] {
+	c := col[EdgeID]{n: nn, rows: end.n, chunks: make([]chunk[EdgeID], numChunks(nn))}
+	for ci := range c.chunks {
+		lo, hi := ci<<ChunkShift, min(ci<<ChunkShift+chunkLen, nn)
+		off := make([]uint32, hi-lo+1)
+		for v := lo; v < hi; v++ {
+			off[v-lo+1] = off[v-lo] + deg[v]
+			deg[v] = off[v-lo]
+		}
+		c.chunks[ci] = chunk[EdgeID]{off: off, data: make([]EdgeID, off[hi-lo])}
+	}
+	for ci := range end.chunks {
+		for j, v := range end.chunks[ci].data {
+			c.chunks[int(v)>>ChunkShift].data[deg[v]] = EdgeID(ci<<ChunkShift + j)
+			deg[v]++
+		}
+	}
+	return c
 }

@@ -262,9 +262,10 @@ func (r *runner) fusedNodePass(w fusedWant, emit emitFunc, list []pg.NodeID, lo,
 
 		// WS1 + SS2 share the flat property row.
 		if w.ws1 || w.ss2 {
-			plo, phi := snap.NodePropRow(v)
+			props := snap.NodePropRows(int(v) >> pg.ChunkShift)
+			plo, phi := props.Row(int(v) & chunkMask)
 			for i := plo; i < phi; i++ {
-				pr := snap.NodePropAt(i)
+				pr := props.At(i)
 				var slot fieldSlot
 				if bl.fields != nil {
 					slot = bl.fields[pr.Sym]
@@ -339,7 +340,7 @@ func (r *runner) fusedNodePass(w fusedWant, emit emitFunc, list []pg.NodeID, lo,
 					if snap.EdgeLabelSym(e) != d.sym {
 						continue
 					}
-					_, dst := snap.Endpoints(e)
+					dst := snap.EdgeTarget(e)
 					sc.seen[dst]++
 					if sc.seen[dst] == 2 && !r.drop() {
 						emit(Violation{
@@ -359,7 +360,7 @@ func (r *runner) fusedNodePass(w fusedWant, emit emitFunc, list []pg.NodeID, lo,
 					if snap.EdgeLabelSym(e) != d.sym {
 						continue
 					}
-					if _, dst := snap.Endpoints(e); dst == v && !r.drop() {
+					if dst := snap.EdgeTarget(e); dst == v && !r.drop() {
 						emit(Violation{
 							Rule: DS2, Node: v, Edge: e,
 							TypeName: d.fd.Owner, Field: d.fd.Name,
@@ -428,7 +429,7 @@ func (r *runner) fusedNodePass(w fusedWant, emit emitFunc, list []pg.NodeID, lo,
 					if snap.EdgeLabelSym(e) != u.sym {
 						continue
 					}
-					src, _ := snap.Endpoints(e)
+					src := snap.EdgeSource(e)
 					if !b.labels[snap.NodeLabelSym(src)].sub[u.ownerID] {
 						continue
 					}
@@ -449,6 +450,15 @@ func (r *runner) fusedNodePass(w fusedWant, emit emitFunc, list []pg.NodeID, lo,
 		}
 	}
 }
+
+// Snapshot columns are chunked (pg.ChunkShift): a 64-element bitset
+// word never straddles two chunks, so the dense passes fetch an
+// element's chunks once per chunkWordMask+1 words and index them with
+// id&chunkMask.
+const (
+	chunkMask     = 1<<pg.ChunkShift - 1
+	chunkWordMask = 1<<(pg.ChunkShift-6) - 1
+)
 
 // maskedWord returns set[wi] restricted to the bits whose element IDs
 // lie in [lo, hi) — the boundary masks of a word-at-a-time walk over a
@@ -499,16 +509,21 @@ func (r *runner) nodeKernels(w fusedWant, emit emitFunc, kern *boundKernels, lo,
 		if w.ds5 && bl.oblig&obDS5 != 0 {
 			for i := range bl.reqAttrs {
 				req := &bl.reqAttrs[i]
-				pwords := snap.NodePropWords(req.sym)
 				isList := req.fd.Type.IsList()
+				// The presence bitset is walked chunk by chunk: chunk c
+				// holds words [c<<ChunkShift, (c+1)<<ChunkShift).
+				var pwords []uint64
 				for wi := wlo; wi < whi; wi++ {
+					if wi == wlo || wi&chunkMask == 0 {
+						pwords = snap.NodePropWordChunk(req.sym, wi>>pg.ChunkShift)
+					}
 					labelWord := maskedWord(set, wi, lo, hi)
 					if labelWord == 0 {
 						continue
 					}
 					var have uint64
-					if wi < len(pwords) {
-						have = pwords[wi]
+					if j := wi & chunkMask; j < len(pwords) {
+						have = pwords[j]
 					}
 					miss := labelWord &^ have
 					for miss != 0 {
@@ -569,19 +584,31 @@ func (r *runner) fusedNodePassDense(w fusedWant, emit emitFunc, lo, hi int, sc *
 	if walk == 0 && !needProps {
 		return
 	}
-	labelCol := snap.NodeLabelColumn()
 	live := kern.liveNodes
 	wlo, whi := lo>>6, (hi+63)>>6
+	// The chunks holding word wi's nodes: labels, property rows and
+	// both adjacency directions.
+	var labels []pg.Sym
+	var props pg.PropRows
+	var outOff, inOff []uint32
+	var outEdges, inEdges []pg.EdgeID
 	for wi := wlo; wi < whi; wi++ {
+		if wi == wlo || wi&chunkWordMask == 0 {
+			c := wi << 6 >> pg.ChunkShift
+			labels, props = snap.NodeLabelChunk(c), snap.NodePropRows(c)
+			outOff, outEdges = snap.OutEdgeChunk(c)
+			inOff, inEdges = snap.InEdgeChunk(c)
+		}
 		word := maskedWord(live, wi, lo, hi)
 		for word != 0 {
 			v := pg.NodeID(wi<<6 + bits.TrailingZeros64(word))
 			word &= word - 1
-			bl := b.labels[labelCol[v]]
+			j := int(v) & chunkMask
+			bl := b.labels[labels[j]]
 			need := bl.oblig & walk
 			plo, phi := 0, 0
 			if needProps {
-				plo, phi = snap.NodePropRow(v)
+				plo, phi = props.Row(j)
 			}
 			if need == 0 && plo == phi {
 				continue
@@ -591,7 +618,7 @@ func (r *runner) fusedNodePassDense(w fusedWant, emit emitFunc, lo, hi int, sc *
 			// WS1 + SS2 share the flat property row.
 			{
 				for i := plo; i < phi; i++ {
-					pr := snap.NodePropAt(i)
+					pr := props.At(i)
 					var slot fieldSlot
 					if bl.fields != nil {
 						slot = bl.fields[pr.Sym]
@@ -627,9 +654,13 @@ func (r *runner) fusedNodePassDense(w fusedWant, emit emitFunc, lo, hi int, sc *
 			}
 
 			// WS4: only a node with ≥ 2 out-edges can repeat a label.
-			if need&obWS4 != 0 && snap.OutDegree(v) >= 2 {
+			var out []pg.EdgeID
+			if need&(obWS4|obDS1|obDS2|obDS6) != 0 {
+				out = outEdges[outOff[j]:outOff[j+1]]
+			}
+			if need&obWS4 != 0 && len(out) >= 2 {
 				sc.touched = sc.touched[:0]
-				for _, e := range snap.OutEdgesOf(v) {
+				for _, e := range out {
 					ls := snap.EdgeLabelSym(e)
 					if sc.counts[ls] == 0 {
 						sc.touched = append(sc.touched, ls)
@@ -668,7 +699,7 @@ func (r *runner) fusedNodePassDense(w fusedWant, emit emitFunc, lo, hi int, sc *
 					if !doDS1 && !doDS2 && !doDS6 {
 						continue
 					}
-					edges := snap.OutEdgesOf(v)
+					edges := out
 					found := false
 					if doDS1 || doDS2 {
 						useMap := doDS1 && len(edges) > ds1MapThreshold
@@ -680,7 +711,7 @@ func (r *runner) fusedNodePassDense(w fusedWant, emit emitFunc, lo, hi int, sc *
 								continue
 							}
 							found = true
-							_, dst := snap.Endpoints(e)
+							dst := snap.EdgeTarget(e)
 							if doDS2 && dst == v && !r.drop() {
 								emit(Violation{
 									Rule: DS2, Node: v, Edge: e,
@@ -740,11 +771,11 @@ func (r *runner) fusedNodePassDense(w fusedWant, emit emitFunc, lo, hi int, sc *
 					u := &bl.uftIn[i]
 					n := 0
 					var second pg.EdgeID = -1
-					for _, e := range snap.InEdgesOf(v) {
+					for _, e := range inEdges[inOff[j]:inOff[j+1]] {
 						if snap.EdgeLabelSym(e) != u.sym {
 							continue
 						}
-						src, _ := snap.Endpoints(e)
+						src := snap.EdgeSource(e)
 						if !b.labels[snap.NodeLabelSym(src)].sub[u.ownerID] {
 							continue
 						}
@@ -783,7 +814,9 @@ func (r *runner) fusedEdgePass(w fusedWant, emit emitFunc, list []pg.EdgeID, lo,
 		if els == pg.NoSym {
 			continue // removed edge
 		}
-		r.fusedEdgeCheck(w, emit, e, els)
+		src, dst := snap.Endpoints(e)
+		props := snap.EdgePropRows(int(e) >> pg.ChunkShift)
+		r.fusedEdgeCheck(w, emit, e, els, src, dst, &props)
 	}
 }
 
@@ -792,26 +825,35 @@ func (r *runner) fusedEdgePass(w fusedWant, emit emitFunc, list []pg.EdgeID, lo,
 // operations instead of a per-element label load and branch.
 func (r *runner) fusedEdgePassDense(w fusedWant, emit emitFunc, lo, hi int) {
 	b := r.bind
-	labelCol := b.snap.EdgeLabelColumn()
 	live := b.kernels().liveEdges
 	wlo, whi := lo>>6, (hi+63)>>6
+	// The chunks holding word wi's edges.
+	var labels []pg.Sym
+	var srcs, dsts []pg.NodeID
+	var props pg.PropRows
 	for wi := wlo; wi < whi; wi++ {
+		if wi == wlo || wi&chunkWordMask == 0 {
+			c := wi << 6 >> pg.ChunkShift
+			labels, props = b.snap.EdgeLabelChunk(c), b.snap.EdgePropRows(c)
+			srcs, dsts = b.snap.EndpointChunk(c)
+		}
 		word := maskedWord(live, wi, lo, hi)
 		for word != 0 {
 			e := pg.EdgeID(wi<<6 + bits.TrailingZeros64(word))
 			word &= word - 1
-			r.fusedEdgeCheck(w, emit, e, labelCol[e])
+			j := int(e) & chunkMask
+			r.fusedEdgeCheck(w, emit, e, labels[j], srcs[j], dsts[j], &props)
 		}
 	}
 }
 
 // fusedEdgeCheck evaluates the edge-pass rules for one live edge — the
-// shared body of the list and dense edge passes.
-func (r *runner) fusedEdgeCheck(w fusedWant, emit emitFunc, e pg.EdgeID, els pg.Sym) {
+// shared body of the list and dense edge passes; props is the property
+// row chunk holding e.
+func (r *runner) fusedEdgeCheck(w fusedWant, emit emitFunc, e pg.EdgeID, els pg.Sym, src, dst pg.NodeID, props *pg.PropRows) {
 	b := r.bind
 	snap := b.snap
 	{
-		src, dst := snap.Endpoints(e)
 		srcInfo := b.labels[snap.NodeLabelSym(src)]
 		srcLabel := srcInfo.label
 		elabel := r.g.SymName(els)
@@ -844,9 +886,9 @@ func (r *runner) fusedEdgeCheck(w fusedWant, emit emitFunc, e pg.EdgeID, els pg.
 
 		// WS2 + SS3 share the flat edge-property row.
 		if w.ws2 || w.ss3 {
-			plo, phi := snap.EdgePropRow(e)
+			plo, phi := props.Row(int(e) & chunkMask)
 			for i := plo; i < phi; i++ {
-				pr := snap.EdgePropAt(i)
+				pr := props.At(i)
 				var arg *boundArg
 				for j := range slot.args {
 					if slot.args[j].sym == pr.Sym {
@@ -935,7 +977,7 @@ func (r *runner) ds4Check(emit emitFunc, rt *boundReqTarget, v2 pg.NodeID) {
 		if snap.EdgeLabelSym(e) != rt.sym {
 			continue
 		}
-		src, _ := snap.Endpoints(e)
+		src := snap.EdgeSource(e)
 		if b.labels[snap.NodeLabelSym(src)].sub[rt.ownerID] {
 			found = true
 			break

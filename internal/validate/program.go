@@ -420,18 +420,24 @@ func (b *binding) kernels() *boundKernels {
 				k.labelBits[sym] = make([]uint64, nodeWords)
 			}
 		}
-		for v, ls := range snap.NodeLabelColumn() {
-			if ls == pg.NoSym {
-				continue
-			}
-			k.liveNodes[v>>6] |= 1 << (uint(v) & 63)
-			if set := k.labelBits[ls]; set != nil {
-				set[v>>6] |= 1 << (uint(v) & 63)
+		for c := 0; c<<pg.ChunkShift < nb; c++ {
+			for j, ls := range snap.NodeLabelChunk(c) {
+				if ls == pg.NoSym {
+					continue
+				}
+				v := c<<pg.ChunkShift + j
+				k.liveNodes[v>>6] |= 1 << (uint(v) & 63)
+				if set := k.labelBits[ls]; set != nil {
+					set[v>>6] |= 1 << (uint(v) & 63)
+				}
 			}
 		}
-		for e, ls := range snap.EdgeLabelColumn() {
-			if ls != pg.NoSym {
-				k.liveEdges[e>>6] |= 1 << (uint(e) & 63)
+		for c := 0; c<<pg.ChunkShift < eb; c++ {
+			for j, ls := range snap.EdgeLabelChunk(c) {
+				if ls != pg.NoSym {
+					e := c<<pg.ChunkShift + j
+					k.liveEdges[e>>6] |= 1 << (uint(e) & 63)
+				}
 			}
 		}
 		b.kern = k
